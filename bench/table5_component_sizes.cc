@@ -7,11 +7,11 @@
 // ("about one man-month of work to port to a new MMU").
 //
 // We regenerate the same table over this repository: per-component line counts,
-// with the MMU models playing the role of the machine-dependent parts.  The shape
-// check asserts the paper's claim — each MMU model is a small fraction of the
-// machine-independent whole.
-#include <benchmark/benchmark.h>
-
+// with the MMU ports playing the role of the machine-dependent parts and the
+// HAT core they share (src/hal/hat.h) reported as its own row.  The shape
+// checks assert the paper's claim — each port is small (at most 250 lines)
+// and a small fraction of the machine-independent whole — and a failed check
+// makes the program exit non-zero, so the claim is gated as a ctest entry.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -69,7 +69,8 @@ size_t ComponentLines(const Component& component) {
   return total;
 }
 
-void Run() {
+// Returns the number of failed shape checks.
+int Run() {
   std::printf("==========================================================================\n");
   std::printf("Table 5: memory management component sizes\n");
   std::printf("==========================================================================\n");
@@ -85,9 +86,10 @@ void Run() {
       {"PVM: machine-independent", {"src/pvm"}},
       {"Nucleus MM part", {"src/nucleus"}},
   };
+  const Component core = {"HAT core (shared by every port)", {"src/hal/hat.h"}};
   std::vector<Component> dependent = {
-      {"MMU model: SoftMmu (two-level)", {"src/hal/soft_mmu.h", "src/hal/soft_mmu.cc"}},
-      {"MMU model: HashMmu (inverted)", {"src/hal/hash_mmu.h", "src/hal/hash_mmu.cc"}},
+      {"MMU port: SoftMmu (two-level)", {"src/hal/soft_mmu.h", "src/hal/soft_mmu.cc"}},
+      {"MMU port: HashMmu (inverted)", {"src/hal/hash_mmu.h", "src/hal/hash_mmu.cc"}},
   };
   std::vector<Component> other = {
       {"Mach-style baseline (shadow)", {"src/shadow"}},
@@ -96,7 +98,8 @@ void Run() {
       {"Distributed shared memory", {"src/dsm"}},
       {"Hardware substrate (rest of hal)",
        {"src/hal/phys_memory.h", "src/hal/phys_memory.cc", "src/hal/cpu.h", "src/hal/cpu.cc",
-        "src/hal/mmu.h", "src/hal/types.h", "src/hal/types.cc"}},
+        "src/hal/mmu.h", "src/hal/tlb.h", "src/hal/tlb.cc", "src/hal/types.h",
+        "src/hal/types.cc"}},
   };
 
   size_t independent_total = 0;
@@ -108,7 +111,9 @@ void Run() {
     std::printf("    %-38s %6zu lines\n", component.label.c_str(), lines);
   }
   std::printf("    %-38s %6zu lines\n", "total", independent_total);
-  std::printf("  MMU-dependent part (one per 'port'):\n");
+  std::printf("  MMU layer, machine-independent half:\n");
+  std::printf("    %-38s %6zu lines\n", core.label.c_str(), ComponentLines(core));
+  std::printf("  MMU-dependent part (one page-table store per 'port'):\n");
   std::vector<size_t> dependent_lines;
   for (const Component& component : dependent) {
     size_t lines = ComponentLines(component);
@@ -128,17 +133,15 @@ void Run() {
     // (21%-30%).  Claim: the machine-dependent part is a small fraction.
     check.Expect(dependent_lines[i] * 2 < independent_total,
                 (dependent[i].label + " is <50% of the machine-independent part").c_str());
+    // A new MMU costs only its page-table store: the line budget per port.
+    check.Expect(dependent_lines[i] <= 250, (dependent[i].label + " is <= 250 lines").c_str());
   }
   std::printf("\n");
+  return check.failed;
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace gvm
 
-int main(int argc, char** argv) {
-  gvm::bench::Run();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+int main() { return gvm::bench::Run() == 0 ? 0 : 1; }

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "src/nucleus/journal_record.h"
 #include "src/util/align.h"
@@ -178,6 +179,7 @@ DsmCluster::DsmCluster(size_t page_size) : page_size_(page_size), net_(0x5eed) {
 DsmCluster::~DsmCluster() {
   // Sites die before the directory and the net: a teardown-time cache flush
   // must still find the home side alive.
+  JoinTeardowns(-1);
   sites_.clear();
 }
 
@@ -278,7 +280,7 @@ void DsmCluster::HandleSiteMessage(DsmSite* site, const NetMessage& request,
       // authoritative and nothing is corrupted.
       if (injector != nullptr &&
           injector->Check(FaultSite::kCrashSiteMidRecall) != Status::kOk) {
-        (void)CrashSite(site->id());
+        CrashSiteFromHandler(site->id());
         reply->status = Status::kPortDead;
         return;
       }
@@ -295,7 +297,7 @@ void DsmCluster::HandleSiteMessage(DsmSite* site, const NetMessage& request,
       // survives at home; the lost ack makes the home treat us as demoted.
       if (injector != nullptr &&
           injector->Check(FaultSite::kCrashSiteBeforeAck) != Status::kOk) {
-        (void)CrashSite(site->id());
+        CrashSiteFromHandler(site->id());
         reply->status = Status::kPortDead;
         return;
       }
@@ -466,6 +468,12 @@ Status DsmCluster::DirectoryRead(SiteId reader, uint64_t key, SegOffset offset, 
     if (segment == nullptr) {
       return Status::kNotFound;
     }
+    // A site the directory holds dead (crashed, re-join not yet announced)
+    // cannot be recorded as a sharer, so it gets no copy: an untracked copy
+    // would escape every later invalidation and serve stale bytes for good.
+    if ((dead_sites_ & SiteBit(reader)) != 0) {
+      return Status::kPortDead;
+    }
     Status latched = LatchRange(segment, offset, size, &first, &end);
     if (latched != Status::kOk) {
       transitions_aborted_.fetch_add(1, std::memory_order_relaxed);
@@ -490,6 +498,9 @@ Status DsmCluster::DirectoryRead(SiteId reader, uint64_t key, SegOffset offset, 
 
   MutexLock lock(dir_mu_);
   Segment* segment = FindSegment(key);
+  if (failure == Status::kOk && (dead_sites_ & SiteBit(reader)) != 0) {
+    failure = Status::kPortDead;  // the reader died during the recalls
+  }
   if (failure != Status::kOk) {
     transitions_aborted_.fetch_add(1, std::memory_order_relaxed);
     UnlatchRange(segment, first, end);
@@ -505,7 +516,7 @@ Status DsmCluster::DirectoryRead(SiteId reader, uint64_t key, SegOffset offset, 
       }
       dir.owner = -1;
     }
-    if (dir.owner != reader && (dead_sites_ & SiteBit(reader)) == 0) {
+    if (dir.owner != reader) {
       dir.sharers |= SiteBit(reader);
     }
     if (before.owner != dir.owner || before.sharers != dir.sharers) {
@@ -639,11 +650,54 @@ Prot DsmCluster::DirectoryFillProt(SiteId reader, uint64_t key, SegOffset offset
 // ---------------------------------------------------------------------------
 
 Status DsmCluster::CrashSite(SiteId site) {
+  Status begun = BeginCrash(site);
+  if (begun != Status::kOk) {
+    return begun;
+  }
+  FinishCrash(site);
+  return Status::kOk;
+}
+
+void DsmCluster::CrashSiteFromHandler(SiteId site) {
+  if (BeginCrash(site) != Status::kOk) {
+    return;  // already dead or dying
+  }
+  // An earlier teardown of this site still in the map has already finished:
+  // BeginCrash succeeds only once the crashing bit it releases last is clear.
+  std::thread previous;
+  {
+    MutexLock lock(dir_mu_);
+    previous = std::exchange(teardowns_[site], std::thread([this, site] { FinishCrash(site); }));
+  }
+  if (previous.joinable()) {
+    previous.join();
+  }
+}
+
+void DsmCluster::JoinTeardowns(SiteId site) {
+  std::vector<std::thread> joining;
+  {
+    MutexLock lock(dir_mu_);
+    for (auto it = teardowns_.begin(); it != teardowns_.end();) {
+      if (site == -1 || it->first == site) {
+        joining.push_back(std::move(it->second));
+        it = teardowns_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  for (std::thread& thread : joining) {
+    thread.join();
+  }
+}
+
+Status DsmCluster::BeginCrash(SiteId site) {
   if (site < 0 || site >= static_cast<SiteId>(sites_.size())) {
     return Status::kNotFound;
   }
   // Claim the lifecycle bit for the entire teardown.  The port death below and
-  // the directory's death mark at the bottom are separated by the cache wipe —
+  // the directory's death mark in FinishCrash are separated by the cache wipe —
   // plenty of time for a concurrent RecoverSite to sneak a kSiteRecovered
   // through and clear a death mark that has not been written yet, stranding
   // the site as directory-dead on a live network.  While the bit is up the
@@ -659,7 +713,12 @@ Status DsmCluster::CrashSite(SiteId site) {
   // Off the net first: in-flight calls to or from the site fail fast with
   // kPortDead from this point on.
   net_.SetNodeDead(site, true);
+  site_crashes_.fetch_add(1, std::memory_order_relaxed);
+  return Status::kOk;
+}
 
+void DsmCluster::FinishCrash(SiteId site) {
+  const uint64_t bit = SiteBit(site);
   // The machine's memory is gone: discard every cached page (invalidate, not
   // flush — uncommitted dirty bytes die with the site, exactly like RAM).
   DsmSite* s = sites_[site].get();
@@ -695,15 +754,14 @@ Status DsmCluster::CrashSite(SiteId site) {
     }
   }
   WalAppendEvent(kWalSiteDeath, static_cast<uint64_t>(site), 0);
-  site_crashes_.fetch_add(1, std::memory_order_relaxed);
   crashing_sites_.fetch_and(~bit, std::memory_order_release);
-  return Status::kOk;
 }
 
 Result<uint64_t> DsmCluster::RecoverSite(SiteId site) {
   if (site < 0 || site >= static_cast<SiteId>(sites_.size())) {
     return Status::kNotFound;
   }
+  JoinTeardowns(site);
   if (!net_.NodeDead(site)) {
     return Status::kAlreadyExists;  // not crashed
   }
@@ -805,6 +863,7 @@ Status DsmCluster::OracleCheck(std::string* diagnostic) {
     return Status::kBusError;
   };
 
+  JoinTeardowns(-1);
   MutexLock lock(dir_mu_);
   std::vector<std::byte> wal_copy;
   {

@@ -36,6 +36,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/dsm/net.h"
@@ -167,7 +168,10 @@ class DsmCluster {
   // authoritative.  Grants that were in flight toward the dead site are
   // parked.  RecoverSite re-joins the node and sends kSiteRecovered to the
   // home, which drains the parked grants exactly once (the drained count comes
-  // back; a second recovery without a new crash drains zero).
+  // back; a second recovery without a new crash drains zero).  A crash
+  // injected inside a protocol handler tears the site down on a separate
+  // thread (see CrashSiteFromHandler); RecoverSite and OracleCheck wait for
+  // that teardown before they look at the site.
   [[nodiscard]] Status CrashSite(SiteId site) GVM_EXCLUDES(dir_mu_);
   Result<uint64_t> RecoverSite(SiteId site) GVM_EXCLUDES(dir_mu_);
   bool SiteCrashed(SiteId site) const GVM_EXCLUDES(dir_mu_);
@@ -258,6 +262,21 @@ class DsmCluster {
 
   // Site-node handler bodies (run on the delivering thread, no locks held).
   void HandleSiteMessage(DsmSite* site, const NetMessage& request, NetMessage* reply);
+
+  // A site crash in two steps.  BeginCrash claims the site's crashing bit,
+  // takes its node off the net (calls to or from it fail fast from then on)
+  // and counts the death; FinishCrash wipes its caches, marks it dead in the
+  // directory and releases the bit.  The wipe waits for the site's fills in
+  // flight, and those complete only once their network calls unwind.
+  [[nodiscard]] Status BeginCrash(SiteId site) GVM_EXCLUDES(dir_mu_);
+  void FinishCrash(SiteId site) GVM_EXCLUDES(dir_mu_);
+  // The crash fault sites fire inside a recall, on a thread that may itself be
+  // mid-fill at another site; two such crashes waiting on each other's fills
+  // would deadlock.  So the handler only runs BeginCrash and hands FinishCrash
+  // to a teardown thread.
+  void CrashSiteFromHandler(SiteId site) GVM_EXCLUDES(dir_mu_);
+  // Join the teardown thread of `site`, or of every site when `site` is -1.
+  void JoinTeardowns(SiteId site) GVM_EXCLUDES(dir_mu_);
   void HandleHomeMessage(const NetMessage& request, NetMessage* reply);
 
   // WAL: append a state record for one page (owner + sharers) or a data
@@ -287,6 +306,8 @@ class DsmCluster {
   uint64_t next_key_ GVM_GUARDED_BY(dir_mu_) = 1;
   uint64_t dead_sites_ GVM_GUARDED_BY(dir_mu_) = 0;  // bitmap
   std::map<SiteId, std::vector<PendingGrant>> pending_grants_ GVM_GUARDED_BY(dir_mu_);
+  // Teardown threads started by CrashSiteFromHandler, not yet joined.
+  std::map<SiteId, std::thread> teardowns_ GVM_GUARDED_BY(dir_mu_);
   // Per-site teardown-in-progress bitmap.  CrashSite raises a site's bit for
   // the whole crash sequence (port death, cache wipe, directory scrub); the
   // home refuses kSiteRecovered while it is up, so a racing RecoverSite can

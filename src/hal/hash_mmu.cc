@@ -1,358 +1,44 @@
 #include "src/hal/hash_mmu.h"
 
-#include <bit>
-#include <cassert>
-
-#include "src/util/align.h"
-
 namespace gvm {
 
-namespace {
+template class Hat<HashPageTables>;
 
-// 0 = "pick the default": a 512KB second granule, in base pages.  Anything
-// that resolves to <= 1 base page disables huge mappings entirely.
-size_t ResolveHugeRatio(size_t page_size, size_t huge_pages) {
-  size_t ratio = huge_pages != 0 ? huge_pages : (512 * 1024) / page_size;
-  if (ratio <= 1) {
-    return 1;
-  }
-  assert(IsPowerOfTwo(ratio));
-  return ratio;
+HashPageTables::Space* HashPageTables::FindSpace(Table& table, AsId as) const {
+  auto it = table.spaces.find(as);
+  return it == table.spaces.end() ? nullptr : &it->second;
 }
 
-}  // namespace
-
-HashMmu::HashMmu(size_t page_size, size_t huge_pages)
-    : page_size_(page_size),
-      page_shift_(static_cast<unsigned>(std::countr_zero(page_size))),
-      huge_ratio_(ResolveHugeRatio(page_size, huge_pages)),
-      huge_shift_(static_cast<unsigned>(std::countr_zero(huge_ratio_))) {
-  assert(IsPowerOfTwo(page_size));
-}
-
-bool HashMmu::SplitHugeLocked(Shard& shard, AsId as, uint64_t hvpn) {
-  auto it = shard.huge_table.find({as, hvpn});
-  if (it == shard.huge_table.end()) {
+bool HashPageTables::DestroySpace(Table& table, AsId as) const {
+  auto it = table.spaces.find(as);
+  if (it == table.spaces.end()) {
     return false;
   }
-  // Fan the span out into base PTEs: contiguous frame run, uniform protection,
-  // and the shared referenced/dirty bits copied to EVERY base page — a write
-  // through the wide entry could have landed anywhere in the span.
-  const HugePte h = it->second;
-  shard.huge_table.erase(it);
-  auto hit = shard.space_huge.find(as);
-  if (hit != shard.space_huge.end()) {
-    hit->second.erase(hvpn);
+  for (uint64_t vpn : it->second.pages) {
+    table.base.erase({as, vpn});
   }
-  const uint64_t base_vpn = hvpn << huge_shift_;
-  auto& pages = shard.space_pages[as];
-  for (size_t i = 0; i < huge_ratio_; ++i) {
-    shard.table[{as, base_vpn + i}] = Pte{.frame = static_cast<FrameIndex>(h.frame + i),
-                                          .prot = h.prot,
-                                          .referenced = h.referenced,
-                                          .dirty = h.dirty};
-    pages.insert(base_vpn + i);
+  for (uint64_t hvpn : it->second.huge_pages) {
+    table.huge.erase({as, hvpn});
   }
+  table.spaces.erase(it);
   return true;
 }
 
-Result<AsId> HashMmu::CreateAddressSpace() {
-  AsId as = next_as_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  shard.live_spaces.insert(as);
-  ++shard.stats.spaces_created;
-  return as;
+HatPte* HashPageTables::Find(Hash& hash, const Space& space, uint64_t key) {
+  auto it = hash.find({space.as, key});
+  return it == hash.end() ? nullptr : &it->second;
 }
 
-Status HashMmu::DestroyAddressSpace(AsId as) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  if (shard.live_spaces.erase(as) == 0) {
-    return Status::kNotFound;
+bool HashPageTables::Erase(Hash& hash, std::unordered_set<uint64_t>& keys, const Space& space,
+                           uint64_t key, HatPte* old) {
+  auto it = hash.find({space.as, key});
+  if (it == hash.end()) {
+    return false;
   }
-  auto it = shard.space_pages.find(as);
-  if (it != shard.space_pages.end()) {
-    for (uint64_t vpn : it->second) {
-      shard.table.erase({as, vpn});
-      ++shard.stats.unmaps;
-    }
-    shard.space_pages.erase(it);
-  }
-  auto hit = shard.space_huge.find(as);
-  if (hit != shard.space_huge.end()) {
-    for (uint64_t hvpn : hit->second) {
-      shard.huge_table.erase({as, hvpn});
-      ++shard.stats.unmaps;
-    }
-    shard.space_huge.erase(hit);
-  }
-  ++shard.stats.spaces_destroyed;
-  return Status::kOk;
-}
-
-Status HashMmu::Map(AsId as, Vaddr va, FrameIndex frame, Prot prot) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  if (!shard.live_spaces.contains(as)) {
-    return Status::kNotFound;
-  }
-  uint64_t vpn = Vpn(va);
-  if (huge_ratio_ > 1) {
-    SplitHugeLocked(shard, as, Hvpn(va));  // base-granule op inside a span demotes it
-  }
-  // Same-frame re-map is a protection change in place: the accessed/modified
-  // bits survive, per the Mmu::Map contract (TlbMmu's write-hit path relies on
-  // the dirty bit not being wiped under a still-valid cached entry).  A fresh
-  // insert default-constructs the Pte with frame = kInvalidFrame, so
-  // same_frame is false and the bits start clear.
-  Pte& pte = shard.table[{as, vpn}];
-  const bool same_frame = pte.frame == frame;
-  pte = Pte{.frame = frame,
-            .prot = prot,
-            .referenced = same_frame && pte.referenced,
-            .dirty = same_frame && pte.dirty};
-  shard.space_pages[as].insert(vpn);
-  ++shard.stats.maps;
-  return Status::kOk;
-}
-
-Status HashMmu::Unmap(AsId as, Vaddr va) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  if (!shard.live_spaces.contains(as)) {
-    return Status::kNotFound;
-  }
-  uint64_t vpn = Vpn(va);
-  if (huge_ratio_ > 1) {
-    SplitHugeLocked(shard, as, Hvpn(va));  // base-granule op inside a span demotes it
-  }
-  if (shard.table.erase({as, vpn}) != 0) {
-    shard.space_pages[as].erase(vpn);
-    ++shard.stats.unmaps;
-  }
-  return Status::kOk;
-}
-
-Result<MmuEntry> HashMmu::UnmapCollect(AsId as, Vaddr va) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  if (!shard.live_spaces.contains(as)) {
-    return Status::kNotFound;
-  }
-  const uint64_t vpn = Vpn(va);
-  const bool was_huge =
-      huge_ratio_ > 1 && SplitHugeLocked(shard, as, Hvpn(va));  // demote, then collect
-  auto it = shard.table.find({as, vpn});
-  if (it == shard.table.end()) {
-    return Status::kNotFound;
-  }
-  const MmuEntry removed{.frame = it->second.frame,
-                         .prot = it->second.prot,
-                         .referenced = it->second.referenced,
-                         .dirty = it->second.dirty,
-                         .huge = was_huge};
-  shard.table.erase(it);
-  shard.space_pages[as].erase(vpn);
-  ++shard.stats.unmaps;
-  return removed;
-}
-
-Status HashMmu::Protect(AsId as, Vaddr va, Prot prot) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  if (huge_ratio_ > 1) {
-    SplitHugeLocked(shard, as, Hvpn(va));  // protection split demotes the span
-  }
-  auto it = shard.table.find({as, Vpn(va)});
-  if (it == shard.table.end()) {
-    return Status::kNotFound;
-  }
-  it->second.prot = prot;
-  ++shard.stats.protects;
-  return Status::kOk;
-}
-
-Result<FrameIndex> HashMmu::Translate(AsId as, Vaddr va, Access access) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  return TranslateLocked(shard, as, va, access, nullptr);
-}
-
-Result<FrameIndex> HashMmu::TranslateAndAccess(AsId as, Vaddr va, Access access,
-                                               FrameBodyRef body) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  Result<FrameIndex> frame = TranslateLocked(shard, as, va, access, nullptr);
-  if (frame.ok()) {
-    body(*frame);
-  }
-  return frame;
-}
-
-Result<FrameIndex> HashMmu::TranslateAndAccessInfo(AsId as, Vaddr va, Access access,
-                                                   FrameBodyRef body, MmuTranslateInfo* info) {
-  *info = MmuTranslateInfo{};
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  Result<FrameIndex> frame = TranslateLocked(shard, as, va, access, info);
-  if (frame.ok()) {
-    body(*frame);
-  }
-  return frame;
-}
-
-Result<FrameIndex> HashMmu::TranslateLocked(Shard& shard, AsId as, Vaddr va, Access access,
-                                            MmuTranslateInfo* info) {
-  ++shard.stats.translations;
-  auto it = shard.table.find({as, Vpn(va)});
-  if (it != shard.table.end()) {
-    Pte& pte = it->second;
-    if (!ProtAllows(pte.prot, AccessProt(access))) {
-      ++shard.stats.faults;
-      return Status::kProtectionFault;
-    }
-    pte.referenced = true;
-    if (access == Access::kWrite) {
-      pte.dirty = true;
-    }
-    return pte.frame;
-  }
-  if (huge_ratio_ > 1) {
-    auto hit = shard.huge_table.find({as, Hvpn(va)});
-    if (hit != shard.huge_table.end()) {
-      HugePte& h = hit->second;
-      if (!ProtAllows(h.prot, AccessProt(access))) {
-        ++shard.stats.faults;
-        return Status::kProtectionFault;
-      }
-      h.referenced = true;
-      if (access == Access::kWrite) {
-        h.dirty = true;  // shared bit: the span as a whole is dirty
-      }
-      if (info != nullptr) {
-        info->huge = true;
-        info->huge_frame = h.frame;
-      }
-      return static_cast<FrameIndex>(h.frame + (Vpn(va) & (huge_ratio_ - 1)));
-    }
-  }
-  ++shard.stats.faults;
-  return Status::kSegmentationFault;
-}
-
-Result<MmuEntry> HashMmu::Lookup(AsId as, Vaddr va) const {
-  Shard& shard = ShardFor(as);
-  ReaderLock guard(shard.mu);
-  auto it = shard.table.find({as, Vpn(va)});
-  if (it != shard.table.end()) {
-    const Pte& pte = it->second;
-    return MmuEntry{
-        .frame = pte.frame, .prot = pte.prot, .referenced = pte.referenced, .dirty = pte.dirty};
-  }
-  if (huge_ratio_ > 1) {
-    // Per-base-page view of a huge span, without demoting (debug invariants
-    // audit page by page).
-    auto hit = shard.huge_table.find({as, Hvpn(va)});
-    if (hit != shard.huge_table.end()) {
-      const HugePte& h = hit->second;
-      return MmuEntry{.frame = static_cast<FrameIndex>(h.frame + (Vpn(va) & (huge_ratio_ - 1))),
-                      .prot = h.prot,
-                      .referenced = h.referenced,
-                      .dirty = h.dirty,
-                      .huge = true};
-    }
-  }
-  return Status::kNotFound;
-}
-
-Result<bool> HashMmu::TestAndClearReferenced(AsId as, Vaddr va) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  auto it = shard.table.find({as, Vpn(va)});
-  if (it != shard.table.end()) {
-    bool was = it->second.referenced;
-    it->second.referenced = false;
-    return was;
-  }
-  if (huge_ratio_ > 1) {
-    auto hit = shard.huge_table.find({as, Hvpn(va)});
-    if (hit != shard.huge_table.end()) {
-      // Shared bit: clearing through any page of the span clears the span.
-      bool was = hit->second.referenced;
-      hit->second.referenced = false;
-      return was;
-    }
-  }
-  return Status::kNotFound;
-}
-
-Status HashMmu::MapHuge(AsId as, Vaddr va, FrameIndex frame, Prot prot) {
-  if (huge_ratio_ <= 1) {
-    return Status::kUnsupported;
-  }
-  if ((va & (page_size_ * huge_ratio_ - 1)) != 0) {
-    return Status::kInvalidArgument;
-  }
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  if (!shard.live_spaces.contains(as)) {
-    return Status::kNotFound;
-  }
-  // The wide entry supersedes any base translations inside the span.
-  const uint64_t base_vpn = Vpn(va);
-  auto pit = shard.space_pages.find(as);
-  for (size_t i = 0; i < huge_ratio_; ++i) {
-    if (shard.table.erase({as, base_vpn + i}) != 0 && pit != shard.space_pages.end()) {
-      pit->second.erase(base_vpn + i);
-    }
-  }
-  // Same-run re-map is a protection change in place, mirroring Map's contract:
-  // the shared referenced/dirty bits survive.  A fresh insert default-
-  // constructs frame = kInvalidFrame, so the bits start clear.
-  HugePte& h = shard.huge_table[{as, Hvpn(va)}];
-  const bool same_run = h.frame == frame;
-  h = HugePte{.frame = frame,
-              .prot = prot,
-              .referenced = same_run && h.referenced,
-              .dirty = same_run && h.dirty};
-  shard.space_huge[as].insert(Hvpn(va));
-  ++shard.stats.maps;
-  return Status::kOk;
-}
-
-Status HashMmu::DemoteHuge(AsId as, Vaddr va) {
-  if (huge_ratio_ <= 1) {
-    return Status::kNotFound;
-  }
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  if (!shard.live_spaces.contains(as)) {
-    return Status::kNotFound;
-  }
-  return SplitHugeLocked(shard, as, Hvpn(va)) ? Status::kOk : Status::kNotFound;
-}
-
-Mmu::Stats HashMmu::stats() const {
-  Stats out;
-  for (Shard& shard : shards_) {
-    ReaderLock guard(shard.mu);
-    out.maps += shard.stats.maps;
-    out.unmaps += shard.stats.unmaps;
-    out.protects += shard.stats.protects;
-    out.translations += shard.stats.translations;
-    out.faults += shard.stats.faults;
-    out.spaces_created += shard.stats.spaces_created;
-    out.spaces_destroyed += shard.stats.spaces_destroyed;
-  }
-  return out;
-}
-
-void HashMmu::ResetStats() {
-  for (Shard& shard : shards_) {
-    WriterLock guard(shard.mu);
-    shard.stats = Stats{};
-  }
+  *old = it->second;
+  hash.erase(it);
+  keys.erase(key);
+  return true;
 }
 
 }  // namespace gvm

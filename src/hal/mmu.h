@@ -7,6 +7,13 @@
 //   * SoftMmu — two-level page tables, in the style of the PMMU / i386.
 //   * HashMmu — a hashed/inverted page table, in the style of custom MMUs.
 //
+// Both are split the SunOS-VM way: one generic HAT core (hat.h) implements
+// this whole contract — sharding and locking, stats, the referenced/dirty
+// rules and the huge granule — over a per-port page-table store that only
+// creates and destroys spaces and finds, inserts and erases PTEs.  The store
+// is a template argument, so the split costs the walk no indirect call; a new
+// MMU is a new store.
+//
 // The interface deals in page-aligned virtual addresses and page frames only; all
 // policy (what to map, when, with which protection) lives above it.
 #ifndef GVM_SRC_HAL_MMU_H_
@@ -197,8 +204,11 @@ class Mmu {
   // the contiguous frame run starting at `frame`.  Replaces any base-page
   // translations inside the span.  Like Map, re-mapping the span with the
   // frame run it already translates to preserves the shared referenced/dirty
-  // bits; a different run starts them clear.  kInvalidArgument if `va` is not
-  // huge-aligned; kUnsupported if huge_page_size() == 0.
+  // bits; a different run starts them clear.  Either way the referenced and
+  // dirty bits of every base PTE the span supersedes are ORed into the shared
+  // pair, so a write recorded only in a base PTE is never silently dropped.
+  // kInvalidArgument if `va` is not huge-aligned; kUnsupported if
+  // huge_page_size() == 0.
   [[nodiscard]] virtual Status MapHuge(AsId as, Vaddr va, FrameIndex frame, Prot prot) {
     (void)as;
     (void)va;

@@ -1,133 +1,69 @@
-// SoftMmu: a two-level page-table MMU model (PMMU / i386 style).
+// SoftMmu: a two-level page-table MMU port (PMMU / i386 style) over the HAT
+// core (hat.h), which owns the locking, the stats and every rule of the mmu.h
+// contract.  This port is only its page-table store.
 //
 // The top level is a sparse map from "directory" index to a leaf table of PTEs, so
 // that an address space with a handful of mappings spread across a huge virtual
 // range costs only a few leaf tables — the size-independence property of section
-// 4.1 holds at the hardware-model level too.
-//
-// Internal state is sharded by address space: concurrent CPUs working in
-// different address spaces (the common SMP case — one space per context) take
-// different locks and stop serializing on the table walk.
+// 4.1 holds at the hardware-model level too.  Empty leaf tables are reclaimed.
 #ifndef GVM_SRC_HAL_SOFT_MMU_H_
 #define GVM_SRC_HAL_SOFT_MMU_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "src/hal/mmu.h"
-#include "src/sync/annotated_mutex.h"
+#include "src/hal/hat.h"
 
 namespace gvm {
 
-class SoftMmu final : public Mmu {
+// The two-level store (see hat.h for the Store contract).  A leaf slot is
+// empty while its frame is kInvalidFrame.
+class SoftPageTables {
  public:
-  // Number of independent lock shards; address spaces hash onto them by id.
-  static constexpr size_t kLockShards = 16;
+  struct Leaf {
+    std::vector<HatPte> entries;
+    size_t valid_count = 0;
+  };
+  struct Space {
+    std::unordered_map<uint64_t, std::unique_ptr<Leaf>> directory;
+    std::unordered_map<uint64_t, HatPte> huge;  // keyed by huge vpn
+  };
+  using Table = std::unordered_map<AsId, Space>;
 
+  explicit SoftPageTables(unsigned leaf_bits) : leaf_bits_(leaf_bits) {}
+
+  Space* FindSpace(Table& table, AsId as) const;
+  void CreateSpace(Table& table, AsId as) const { table.emplace(as, Space{}); }
+  bool DestroySpace(Table& table, AsId as) const { return table.erase(as) != 0; }
+  HatPte* FindBase(Space& space, uint64_t vpn) const;
+  HatPte& InsertBase(Space& space, uint64_t vpn) const;
+  bool EraseBase(Space& space, uint64_t vpn, HatPte* old) const;
+  HatPte* FindHuge(Space& space, uint64_t hvpn) const;
+  HatPte& InsertHuge(Space& space, uint64_t hvpn) const { return space.huge[hvpn]; }
+  bool EraseHuge(Space& space, uint64_t hvpn, HatPte* old) const;
+
+ private:
+  uint64_t Slot(uint64_t vpn) const { return vpn & ((uint64_t{1} << leaf_bits_) - 1); }
+
+  unsigned leaf_bits_;
+};
+
+extern template class Hat<SoftPageTables>;
+
+class SoftMmu final : public Hat<SoftPageTables> {
+ public:
   // `page_size` must be a power of two.  `leaf_bits` is the number of VPN bits
   // resolved by a leaf table (default 10, i.e. 1024 PTEs per leaf).
   // `huge_pages` is the second granule in base pages (power of two); 0 picks
   // the default of 512KB / page_size, and a value <= 1 disables huge pages.
   explicit SoftMmu(size_t page_size, unsigned leaf_bits = 10, size_t huge_pages = 0);
 
-  Result<AsId> CreateAddressSpace() override;
-  [[nodiscard]] Status DestroyAddressSpace(AsId as) override;
-  [[nodiscard]] Status Map(AsId as, Vaddr va, FrameIndex frame, Prot prot) override;
-  [[nodiscard]] Status Unmap(AsId as, Vaddr va) override;
-  [[nodiscard]] Result<MmuEntry> UnmapCollect(AsId as, Vaddr va) override;
-  [[nodiscard]] Status Protect(AsId as, Vaddr va, Prot prot) override;
-  Result<FrameIndex> Translate(AsId as, Vaddr va, Access access) override;
-  Result<FrameIndex> TranslateAndAccess(AsId as, Vaddr va, Access access,
-                                        FrameBodyRef body) override;
-  Result<MmuEntry> Lookup(AsId as, Vaddr va) const override;
-  Result<bool> TestAndClearReferenced(AsId as, Vaddr va) override;
-
-  size_t huge_page_size() const override {
-    return huge_ratio_ > 1 ? page_size_ * huge_ratio_ : 0;
-  }
-  [[nodiscard]] Status MapHuge(AsId as, Vaddr va, FrameIndex frame, Prot prot) override;
-  [[nodiscard]] Status DemoteHuge(AsId as, Vaddr va) override;
-  Result<FrameIndex> TranslateAndAccessInfo(AsId as, Vaddr va, Access access, FrameBodyRef body,
-                                            MmuTranslateInfo* info) override;
-
-  size_t page_size() const override { return page_size_; }
-  // Aggregates the per-shard counters; a consistent total only at quiescence.
-  Stats stats() const override;
-  void ResetStats() override;
   const char* name() const override { return "SoftMmu(two-level)"; }
 
   // Number of leaf tables currently allocated in `as` (for size-independence tests).
   size_t LeafTableCount(AsId as) const;
-
- private:
-  struct Pte {
-    FrameIndex frame = kInvalidFrame;
-    Prot prot = Prot::kNone;
-    bool valid = false;
-    bool referenced = false;
-    bool dirty = false;
-  };
-  struct LeafTable {
-    std::vector<Pte> entries;
-    size_t valid_count = 0;
-  };
-  // One huge translation: a huge-aligned virtual span backed by the contiguous
-  // frame run [frame, frame + huge_ratio_).  One shared referenced/dirty bit
-  // for the whole span — a write through the wide entry can land anywhere in
-  // it, so per-base-page bits would under-report; demotion fans the shared
-  // bits out to every base PTE (the Mmu huge-granule contract).
-  struct HugePte {
-    FrameIndex frame = kInvalidFrame;
-    Prot prot = Prot::kNone;
-    bool referenced = false;
-    bool dirty = false;
-  };
-  struct AddressSpace {
-    std::unordered_map<uint64_t, std::unique_ptr<LeafTable>> directory;
-    // Keyed by huge virtual page number (vpn >> huge_shift_).
-    std::unordered_map<uint64_t, HugePte> huge;
-  };
-  // Hardware walks PTEs atomically with respect to kernel updates; the software
-  // model gets the same property from the shard lock.  SoftMmu never calls out
-  // while holding one, so the kernel-lock -> MMU-lock order is acyclic, and no
-  // operation ever holds two shards at once (all shards share rank kMmuShard,
-  // so the lock-rank validator aborts if one ever does).  Read-only operations
-  // (Lookup, stats, LeafTableCount) take the shard shared.
-  struct alignas(64) Shard {
-    mutable SharedMutex mu{Rank::kMmuShard, "SoftMmu::Shard::mu"};
-    std::unordered_map<AsId, AddressSpace> spaces GVM_GUARDED_BY(mu);
-    Stats stats GVM_GUARDED_BY(mu);
-  };
-
-  uint64_t Vpn(Vaddr va) const { return va >> page_shift_; }
-  uint64_t DirIndex(Vaddr va) const { return Vpn(va) >> leaf_bits_; }
-  uint64_t LeafIndex(Vaddr va) const { return Vpn(va) & ((1ull << leaf_bits_) - 1); }
-  uint64_t Hvpn(Vaddr va) const { return Vpn(va) >> huge_shift_; }
-
-  Shard& ShardFor(AsId as) const { return shards_[as % kLockShards]; }
-  static AddressSpace* FindSpace(Shard& shard, AsId as) GVM_REQUIRES_SHARED(shard.mu);
-  Pte* FindPte(Shard& shard, AsId as, Vaddr va) const GVM_REQUIRES_SHARED(shard.mu);
-  Result<FrameIndex> TranslateLocked(Shard& shard, AsId as, Vaddr va, Access access,
-                                     MmuTranslateInfo* info) GVM_REQUIRES(shard.mu);
-  // Installs one base Pte (creating the leaf table if needed) without touching
-  // counters; shared by the demotion fan-out.
-  void InstallPteLocked(Shard& shard, AddressSpace* space, Vaddr va,
-                        const Pte& pte) GVM_REQUIRES(shard.mu);
-  // Splits the huge span `hvpn` of `space` into base PTEs.  Returns true if a
-  // span existed (auto-demote sites use it to widen UnmapCollect's report).
-  bool SplitHugeLocked(Shard& shard, AddressSpace* space, uint64_t hvpn) GVM_REQUIRES(shard.mu);
-
-  const size_t page_size_;
-  const unsigned page_shift_;
-  const unsigned leaf_bits_;
-  const size_t huge_ratio_;   // base pages per huge page; <= 1 means disabled
-  const unsigned huge_shift_;
-  std::atomic<AsId> next_as_{0};
-  mutable std::array<Shard, kLockShards> shards_;
 };
 
 }  // namespace gvm

@@ -11,7 +11,6 @@
 //   * Fragments may have different, arbitrary parents (section 4.2.4); both the
 //     parent and the history attribute are fragment lists.
 #include <cassert>
-#include <cstring>
 #include <vector>
 
 #include "src/pvm/paged_vm.h"
@@ -91,8 +90,7 @@ Status PagedVm::SecureHistorySnapshots(MutexLock& lock, PvmCache& cache,
           continue;
         }
         PagePin value_pin(**value);
-        Result<PageDesc*> copy = MaterializePage(lock, *history, h_off,
-                                                 memory().FrameData((*value)->frame),
+        Result<PageDesc*> copy = MaterializePage(lock, *history, h_off, (*value)->frame,
                                                  /*dirty=*/true, Prot::kAll);
         if (copy.ok()) {
           ++detail_.history_pushes;
@@ -470,8 +468,7 @@ Status PagedVm::MoveRange(MutexLock& lock, PvmCache& src, SegOffset src_off,
         continue;
       }
       PagePin value_pin(**value);
-      Result<PageDesc*> copy = MaterializePage(lock, dst, d_off,
-                                               memory().FrameData((*value)->frame),
+      Result<PageDesc*> copy = MaterializePage(lock, dst, d_off, (*value)->frame,
                                                /*dirty=*/true, Prot::kAll);
       if (!copy.ok()) {
         if (copy.status() == Status::kRetry) {

@@ -125,7 +125,7 @@ Status PagedVm::CacheFillUp(MutexLock& lock, PvmCache& cache,
           map_.Erase(cache.id(), PageIndex(page_off));
         }
         Result<PageDesc*> fresh =
-            MaterializePage(lock, cache, page_off, nullptr, /*dirty=*/false, max_prot);
+            MaterializePage(lock, cache, page_off, kInvalidFrame, /*dirty=*/false, max_prot);
         if (!fresh.ok() && fresh.status() != Status::kRetry) {
           // Restore the stub so waiting threads are not stranded on a free slot.
           if (was_stub && FindEntry(cache, page_off) == nullptr) {

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <thread>
 
 #include "src/util/align.h"
@@ -161,7 +160,7 @@ Result<FrameIndex> PagedVm::AllocateFrame(MutexLock& lock,
 }
 
 Result<PageDesc*> PagedVm::MaterializePage(MutexLock& lock, PvmCache& cache,
-                                           SegOffset page_offset, const std::byte* bytes,
+                                           SegOffset page_offset, FrameIndex source,
                                            bool dirty, Prot max_prot) {
   assert(IsAligned(page_offset, page_size()));
   bool dropped = false;
@@ -175,8 +174,8 @@ Result<PageDesc*> PagedVm::MaterializePage(MutexLock& lock, PvmCache& cache,
     memory().FreeFrame(*frame);
     return Status::kRetry;
   }
-  if (bytes != nullptr) {
-    std::memcpy(memory().FrameData(*frame), bytes, page_size());
+  if (source != kInvalidFrame) {
+    memory().CopyFrame(*frame, source);
   } else {
     memory().ZeroFrame(*frame);
   }
@@ -249,7 +248,7 @@ Status PagedVm::MaterializeStubsOf(MutexLock& lock, PvmCache& cache,
       memory().FreeFrame(*frame);
       continue;
     }
-    std::memcpy(memory().FrameData(*frame), memory().FrameData((*value)->frame), page_size());
+    memory().CopyFrame(*frame, (*value)->frame);
     MapEntry* entry = map_.Find(dst.id(), PageIndex(dst_off));
     assert(entry != nullptr && entry->kind == MapEntry::Kind::kCowStub &&
            entry->cow.get() == first);
@@ -464,14 +463,31 @@ void PagedVm::MaybePromote(const PageFault& fault, Vaddr page_va) {
     run = *fresh;
   }
   {
-    // One batched removal of the N base PTEs (one ShootdownRange), harvesting
-    // the hardware dirty bits atomically with the translations' death.
+    // Remove every base PTE of the span, harvesting its hardware dirty bit
+    // atomically with the translation's death, before any frame is touched.
+    // The collect mask is 64 pages wide, so a wider span goes in chunks (each
+    // one ranged shootdown).  On any failure the span stays base-grained.
     TlbGatherScope gather(&tlb());
-    uint64_t dirty_mask = 0;
-    (void)mmu().UnmapRangeCollect(as, hva, ratio, &dirty_mask);
-    for (size_t i = 0; i < ratio; ++i) {
-      if ((dirty_mask >> i) & 1) {
-        span[i]->sw_dirty = true;
+    auto restore = [&] {
+      for (size_t i = 0; i < ratio; ++i) {
+        (void)mmu().Map(as, hva + i * page_bytes, span[i]->frame, prot);
+      }
+    };
+    for (size_t first = 0; first < ratio; first += 64) {
+      const size_t count = std::min<size_t>(64, ratio - first);
+      uint64_t dirty_mask = 0;
+      if (mmu().UnmapRangeCollect(as, hva + first * page_bytes, count, &dirty_mask) !=
+          Status::kOk) {
+        restore();
+        for (size_t i = 0; !contiguous && i < ratio; ++i) {
+          memory().FreeFrame(static_cast<FrameIndex>(run + i));  // the unused fresh run
+        }
+        return;
+      }
+      for (size_t i = 0; i < count; ++i) {
+        if ((dirty_mask >> i) & 1) {
+          span[first + i]->sw_dirty = true;
+        }
       }
     }
     if (!contiguous) {
@@ -487,14 +503,11 @@ void PagedVm::MaybePromote(const PageFault& fault, Vaddr page_va) {
         span[i]->frame = dst;
       }
     }
-    Status s = mmu().MapHuge(as, hva, run, prot);
-    if (s != Status::kOk) {
+    if (mmu().MapHuge(as, hva, run, prot) != Status::kOk) {
       // Cannot happen for a validated span (alignment and the address space
       // both held under the never-dropped lock); restore base mappings so the
       // pages are not left translation-less with live MappingRefs.
-      for (size_t i = 0; i < ratio; ++i) {
-        (void)mmu().Map(as, hva + i * page_bytes, span[i]->frame, prot);
-      }
+      restore();
       return;
     }
   }
@@ -745,7 +758,7 @@ Result<PageDesc*> PagedVm::ResolveValue(MutexLock& lock, PvmCache& cache,
         // No value anywhere: demand-zero in the cache where the walk ended (a
         // temporary cache with no parent), so future lookups find it.
         Result<PageDesc*> page = MaterializePage(lock, *found.source, found.source_offset,
-                                                 nullptr, /*dirty=*/false, Prot::kAll);
+                                                 kInvalidFrame, /*dirty=*/false, Prot::kAll);
         if (page.ok()) {
           mutable_stats().zero_fills += 1;
           return page;
@@ -810,8 +823,7 @@ Status PagedVm::PushToHistory(MutexLock& lock, PvmCache& cache,
     }
     PagePin src_pin(page);
     Result<PageDesc*> copy =
-        MaterializePage(lock, history, h_off, memory().FrameData(page.frame),
-                        /*dirty=*/true, Prot::kAll);
+        MaterializePage(lock, history, h_off, page.frame, /*dirty=*/true, Prot::kAll);
     if (copy.ok()) {
       ++detail_.history_pushes;
       ++mutable_stats().cow_copies;
@@ -853,7 +865,7 @@ Status PagedVm::DetachStubs(MutexLock& lock, PageDesc& page,
     memory().FreeFrame(*frame);
     return Status::kRetry;
   }
-  std::memcpy(memory().FrameData(*frame), memory().FrameData(page.frame), page_size());
+  memory().CopyFrame(*frame, page.frame);
 
   // Swap the first stub for an owned page under the continuously-held lock.
   MapEntry* entry = map_.Find(dst.id(), PageIndex(dst_off));
@@ -1002,7 +1014,7 @@ Result<PageDesc*> PagedVm::EnsureWritablePage(MutexLock& lock,
         memory().FreeFrame(*frame);
         continue;
       }
-      std::memcpy(memory().FrameData(*frame), memory().FrameData(src->frame), page_size());
+      memory().CopyFrame(*frame, src->frame);
       UnlinkStub(stub);
       cache.pages_.emplace_back();
       auto it = std::prev(cache.pages_.end());
@@ -1052,8 +1064,7 @@ Result<PageDesc*> PagedVm::EnsureWritablePage(MutexLock& lock,
       SegOffset h_off = frag->value.base + (page_offset - frag->start);
       MapEntry* h_entry = map_.Find(history.id(), PageIndex(h_off));
       if (h_entry == nullptr && !history.pushed_pages_.contains(PageIndex(h_off))) {
-        Result<PageDesc*> h_copy = MaterializePage(lock, history, h_off,
-                                                   memory().FrameData(src->frame),
+        Result<PageDesc*> h_copy = MaterializePage(lock, history, h_off, src->frame,
                                                    /*dirty=*/true, Prot::kAll);
         if (!h_copy.ok()) {
           if (h_copy.status() == Status::kRetry) {
@@ -1066,8 +1077,7 @@ Result<PageDesc*> PagedVm::EnsureWritablePage(MutexLock& lock,
       ++mutable_stats().cow_copies;
       }
     }
-    Result<PageDesc*> fresh = MaterializePage(lock, cache, page_offset,
-                                              memory().FrameData(src->frame),
+    Result<PageDesc*> fresh = MaterializePage(lock, cache, page_offset, src->frame,
                                               /*dirty=*/true, Prot::kAll);
     if (!fresh.ok()) {
       if (fresh.status() == Status::kRetry) {

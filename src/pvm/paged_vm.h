@@ -247,11 +247,12 @@ class PagedVm final : public BaseMm {
   // drop the lock (page-out upcalls); `*dropped_lock` reports that.
   Result<FrameIndex> AllocateFrame(MutexLock& lock, bool* dropped_lock) GVM_REQUIRES(mu_);
 
-  // Create a page owned by `cache` at `page_offset` with the given bytes (nullptr
-  // means zero-fill).  May drop the lock to evict; on any drop it re-checks that
-  // the slot is still empty and returns kBusy to make the caller retry.
+  // Create a page owned by `cache` at `page_offset` holding a copy of frame
+  // `source` (kInvalidFrame means zero-fill; the caller pins the source page).
+  // May drop the lock to evict; on any drop it re-checks that the slot is
+  // still empty and returns kRetry to make the caller retry.
   Result<PageDesc*> MaterializePage(MutexLock& lock, PvmCache& cache,
-                                    SegOffset page_offset, const std::byte* bytes, bool dirty,
+                                    SegOffset page_offset, FrameIndex source, bool dirty,
                                     Prot max_prot) GVM_REQUIRES(mu_);
 
   void FreePage(PageDesc* page) GVM_REQUIRES(mu_);  // unmaps, unthreads stubs, frees the frame

@@ -22,7 +22,7 @@
 //    32  | kFrameMagazine     | PhysicalMemory Magazine::mu  | one CPU's cached frames (never 2 at once)
 //    34  | kFrameFreeList     | PhysicalMemory::mu_          | shared frame free list (refill/drain path)
 //    36  | kPageoutDaemon     | PagedVm::daemon_mu_          | paging-daemon wake latch (leaf for holders)
-//    40  | kMmuShard          | SoftMmu/HashMmu Shard::mu    | one AS shard's page tables (never 2 at once)
+//    40  | kMmuShard          | Hat::Shard::mu (both MMUs)   | one AS shard's page tables (never 2 at once)
 //    50  | kSleepQueueTable   | SleepQueue::table_mutex_     | waiter table (under the caller's mu_)
 //    60  | kFaultInjector     | FaultInjector::mu_           | plans, RNG, per-site counters
 //    70  | kLog               | log.cc g_log_mutex           | stderr interleaving (leaf)

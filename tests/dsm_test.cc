@@ -332,12 +332,19 @@ TEST_F(DsmRecoveryTest, PendingGrantDrainedExactlyOnceOnRejoin) {
   ASSERT_EQ(b_->Store<uint64_t>(kBase, 1), Status::kOk);  // B owns page 0
   ASSERT_EQ(*a_->Load<uint64_t>(kBase), 1u);              // A and B now share it
   SimNet::LinkPolicy slow;
-  slow.latency_us = 40'000;
+  slow.latency_us = 200'000;  // wide enough for the crash below on a loaded machine
   cluster_.net().SetLinkPolicy(kHomeNode, b_->id(), slow);
+  const uint64_t invalidations_before = cluster_.stats().invalidate_messages;
   std::thread writer([&] {
     (void)a_->Store<uint64_t>(kBase, 2);  // fails: A dies mid-transition
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // Crash A once its grant is in flight, i.e. once the home has latched the
+  // page and sent B the slow invalidation.  A fixed sleep here raced the
+  // writer thread's start on a loaded machine: A died before asking.
+  for (int i = 0; i < 2000 && cluster_.stats().invalidate_messages == invalidations_before;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
   ASSERT_EQ(cluster_.CrashSite(a_->id()), Status::kOk);
   writer.join();
   cluster_.net().SetLinkPolicy(kHomeNode, b_->id(), SimNet::LinkPolicy{});

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "src/hal/cpu.h"
 #include "src/hal/hash_mmu.h"
@@ -64,9 +65,19 @@ TEST(PhysicalMemoryTest, CopyAndZeroFrame) {
 
 using MmuFactory = std::function<std::unique_ptr<Mmu>(size_t)>;
 
-class MmuTest : public ::testing::TestWithParam<std::pair<const char*, MmuFactory>> {
+struct MmuPort {
+  const char* name;
+  MmuFactory make;
+};
+
+// gtest prints a parameter's raw bytes by default, which for a pointer-bearing
+// struct differ in every process; print the port's name so the discovered
+// test names are the same in every build.
+void PrintTo(const MmuPort& port, std::ostream* os) { *os << port.name; }
+
+class MmuTest : public ::testing::TestWithParam<MmuPort> {
  protected:
-  void SetUp() override { mmu_ = GetParam().second(kPage); }
+  void SetUp() override { mmu_ = GetParam().make(kPage); }
   std::unique_ptr<Mmu> mmu_;
 };
 
@@ -161,14 +172,15 @@ TEST_P(MmuTest, SparseHugeAddresses) {
 INSTANTIATE_TEST_SUITE_P(
     AllMmus, MmuTest,
     ::testing::Values(
-        std::make_pair("SoftMmu",
-                       MmuFactory([](size_t page) -> std::unique_ptr<Mmu> {
-                         return std::make_unique<SoftMmu>(page);
-                       })),
-        std::make_pair("HashMmu", MmuFactory([](size_t page) -> std::unique_ptr<Mmu> {
-                         return std::make_unique<HashMmu>(page);
-                       }))),
-    [](const auto& info) { return info.param.first; });
+        MmuPort{"SoftMmu",
+                [](size_t page) -> std::unique_ptr<Mmu> {
+                  return std::make_unique<SoftMmu>(page);
+                }},
+        MmuPort{"HashMmu",
+                [](size_t page) -> std::unique_ptr<Mmu> {
+                  return std::make_unique<HashMmu>(page);
+                }}),
+    [](const auto& info) { return info.param.name; });
 
 TEST(SoftMmuTest, LeafTablesAreReclaimed) {
   SoftMmu mmu(kPage, /*leaf_bits=*/4);

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <string>
 #include <thread>
@@ -33,6 +34,9 @@ namespace {
 
 constexpr size_t kPage = 4096;
 constexpr size_t kRatio = 4;  // test granule: 4 base pages per huge span
+// The shipped geometry: the default 512KB granule over 4KB pages, wider than
+// the 64-page mask of UnmapRangeCollect.
+constexpr size_t kWideRatio = 128;
 
 Vaddr PageVa(uint64_t vpn) { return vpn * kPage; }
 
@@ -42,14 +46,19 @@ Vaddr PageVa(uint64_t vpn) { return vpn * kPage; }
 
 struct MmuFactory {
   const char* name;
+  size_t ratio;  // huge span, in base pages
   std::function<std::unique_ptr<Mmu>(size_t huge_pages)> make;
 };
 
+// Print the name, not the raw bytes (which hold per-process pointers), so the
+// discovered test names are the same in every build.
+void PrintTo(const MmuFactory& factory, std::ostream* os) { *os << factory.name; }
+
 class HugeMmuTest : public ::testing::TestWithParam<MmuFactory> {
  protected:
-  std::unique_ptr<Mmu> MakeMmu(size_t huge_pages = kRatio) {
-    return GetParam().make(huge_pages);
-  }
+  size_t ratio() const { return GetParam().ratio; }
+  std::unique_ptr<Mmu> MakeMmu() { return GetParam().make(ratio()); }
+  std::unique_ptr<Mmu> MakeMmu(size_t huge_pages) { return GetParam().make(huge_pages); }
 };
 
 TEST_P(HugeMmuTest, DisabledGranuleReportsUnsupported) {
@@ -62,17 +71,17 @@ TEST_P(HugeMmuTest, DisabledGranuleReportsUnsupported) {
 
 TEST_P(HugeMmuTest, MapHugeRejectsUnalignedVa) {
   auto mmu = MakeMmu();
-  ASSERT_EQ(mmu->huge_page_size(), kRatio * kPage);
+  ASSERT_EQ(mmu->huge_page_size(), ratio() * kPage);
   AsId as = *mmu->CreateAddressSpace();
   EXPECT_EQ(mmu->MapHuge(as, PageVa(1), 0, Prot::kRead), Status::kInvalidArgument);
-  EXPECT_EQ(mmu->MapHuge(as, PageVa(kRatio), 8, Prot::kRead), Status::kOk);
+  EXPECT_EQ(mmu->MapHuge(as, PageVa(ratio()), 8, Prot::kRead), Status::kOk);
 }
 
 TEST_P(HugeMmuTest, LookupShowsPerBasePageViewWithoutDemoting) {
   auto mmu = MakeMmu();
   AsId as = *mmu->CreateAddressSpace();
   ASSERT_EQ(mmu->MapHuge(as, 0, 16, Prot::kReadWrite), Status::kOk);
-  for (size_t i = 0; i < kRatio; ++i) {
+  for (size_t i = 0; i < ratio(); ++i) {
     Result<MmuEntry> entry = mmu->Lookup(as, PageVa(i));
     ASSERT_TRUE(entry.ok());
     EXPECT_EQ(entry->frame, static_cast<FrameIndex>(16 + i));
@@ -105,7 +114,7 @@ TEST_P(HugeMmuTest, DemoteFansSharedBitsOutToEveryBasePte) {
   ASSERT_TRUE(mmu->Translate(as, PageVa(1), Access::kWrite).ok());
 
   ASSERT_EQ(mmu->DemoteHuge(as, PageVa(2)), Status::kOk);  // any page of the span
-  for (size_t i = 0; i < kRatio; ++i) {
+  for (size_t i = 0; i < ratio(); ++i) {
     Result<MmuEntry> entry = mmu->Lookup(as, PageVa(i));
     ASSERT_TRUE(entry.ok());
     EXPECT_FALSE(entry->huge);
@@ -133,11 +142,11 @@ TEST_P(HugeMmuTest, BaseGranuleOpsInsideSpanAutoDemote) {
     EXPECT_EQ(entry->frame, static_cast<FrameIndex>(12 + i));
   }
   // A protection change on one page splits too, leaving the others untouched.
-  ASSERT_EQ(mmu->MapHuge(as, PageVa(kRatio), 20, Prot::kReadWrite), Status::kOk);
-  ASSERT_EQ(mmu->Protect(as, PageVa(kRatio + 1), Prot::kRead), Status::kOk);
-  EXPECT_EQ(mmu->Lookup(as, PageVa(kRatio + 1))->prot, Prot::kRead);
-  EXPECT_EQ(mmu->Lookup(as, PageVa(kRatio))->prot, Prot::kReadWrite);
-  EXPECT_FALSE(mmu->Lookup(as, PageVa(kRatio))->huge);
+  ASSERT_EQ(mmu->MapHuge(as, PageVa(ratio()), 20, Prot::kReadWrite), Status::kOk);
+  ASSERT_EQ(mmu->Protect(as, PageVa(ratio() + 1), Prot::kRead), Status::kOk);
+  EXPECT_EQ(mmu->Lookup(as, PageVa(ratio() + 1))->prot, Prot::kRead);
+  EXPECT_EQ(mmu->Lookup(as, PageVa(ratio()))->prot, Prot::kReadWrite);
+  EXPECT_FALSE(mmu->Lookup(as, PageVa(ratio()))->huge);
 }
 
 TEST_P(HugeMmuTest, UnmapCollectReportsTheSplitAndTheFannedDirt) {
@@ -175,18 +184,21 @@ TEST_P(HugeMmuTest, SameRunRemapKeepsBitsDifferentRunClearsThem) {
   EXPECT_FALSE(mmu->Lookup(as, PageVa(0))->dirty);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Mmus, HugeMmuTest,
-    ::testing::Values(
-        MmuFactory{"soft",
-                   [](size_t huge_pages) -> std::unique_ptr<Mmu> {
-                     return std::make_unique<SoftMmu>(kPage, 10, huge_pages);
-                   }},
-        MmuFactory{"hash",
-                   [](size_t huge_pages) -> std::unique_ptr<Mmu> {
-                     return std::make_unique<HashMmu>(kPage, huge_pages);
-                   }}),
-    [](const ::testing::TestParamInfo<MmuFactory>& info) { return info.param.name; });
+std::unique_ptr<Mmu> MakeSoft(size_t huge_pages) {
+  return std::make_unique<SoftMmu>(kPage, 10, huge_pages);
+}
+std::unique_ptr<Mmu> MakeHash(size_t huge_pages) {
+  return std::make_unique<HashMmu>(kPage, huge_pages);
+}
+
+INSTANTIATE_TEST_SUITE_P(Mmus, HugeMmuTest,
+                         ::testing::Values(MmuFactory{"soft", kRatio, MakeSoft},
+                                           MmuFactory{"hash", kRatio, MakeHash},
+                                           MmuFactory{"soft_r128", kWideRatio, MakeSoft},
+                                           MmuFactory{"hash_r128", kWideRatio, MakeHash}),
+                         [](const ::testing::TestParamInfo<MmuFactory>& info) {
+                           return info.param.name;
+                         });
 
 // ---------------------------------------------------------------------------
 // TlbMmu: wide entries and the demotion shootdown rules.
@@ -284,8 +296,8 @@ struct PvmHugeWorld {
   TestSwapRegistry registry;
   Context* ctx;
 
-  explicit PvmHugeWorld(size_t frames, PagedVm::Options options = MakeOptions())
-      : memory(frames, kPage), mmu(kPage, 10, kRatio), vm(memory, mmu, options),
+  PvmHugeWorld(size_t ratio, size_t frames, PagedVm::Options options = MakeOptions())
+      : memory(frames, kPage), mmu(kPage, 10, ratio), vm(memory, mmu, options),
         registry(kPage) {
     vm.BindSegmentRegistry(&registry);
     ctx = *vm.ContextCreate();
@@ -298,12 +310,21 @@ struct PvmHugeWorld {
   }
 };
 
-constexpr Vaddr kBase = 0x100000;  // huge-aligned for any small test ratio
+constexpr Vaddr kBase = 0x100000;  // huge-aligned for both test ratios
 
-TEST(PvmHugeTest, SequentialTouchPromotesEveryFullSpan) {
-  PvmHugeWorld world(64);
+// Each PVM case runs twice with one body: at the test granule as
+// PvmHugeTest.<name> and at the shipped 128-page granule as
+// PvmHugeWideTest.<name>.  World sizes scale with the ratio.
+#define PVM_HUGE_TEST(name)                               \
+  void name##Body(size_t ratio);                          \
+  TEST(PvmHugeTest, name) { name##Body(kRatio); }         \
+  TEST(PvmHugeWideTest, name) { name##Body(kWideRatio); } \
+  void name##Body(size_t ratio)
+
+PVM_HUGE_TEST(SequentialTouchPromotesEveryFullSpan) {
+  PvmHugeWorld world(ratio, 16 * ratio);
   Cache* cache = *world.vm.CacheCreate(nullptr, "zero");
-  const size_t pages = 4 * kRatio;
+  const size_t pages = 4 * ratio;
   Region* region = *world.vm.RegionCreate(*world.ctx, kBase, pages * kPage,
                                           Prot::kReadWrite, *cache, 0);
   AsId as = world.ctx->address_space();
@@ -334,15 +355,15 @@ TEST(PvmHugeTest, SequentialTouchPromotesEveryFullSpan) {
   EXPECT_EQ(world.vm.CheckInvariants(), Status::kOk);
 }
 
-TEST(PvmHugeTest, PartialSpanNeverPromotes) {
-  PvmHugeWorld world(64);
+PVM_HUGE_TEST(PartialSpanNeverPromotes) {
+  PvmHugeWorld world(ratio, 16 * ratio);
   Cache* cache = *world.vm.CacheCreate(nullptr, "partial");
-  Region* region = *world.vm.RegionCreate(*world.ctx, kBase, 2 * kRatio * kPage,
+  Region* region = *world.vm.RegionCreate(*world.ctx, kBase, 2 * ratio * kPage,
                                           Prot::kReadWrite, *cache, 0);
   AsId as = world.ctx->address_space();
   // Touch all but one page of each span.
-  for (size_t p = 0; p < 2 * kRatio; ++p) {
-    if (p % kRatio == kRatio - 1) {
+  for (size_t p = 0; p < 2 * ratio; ++p) {
+    if (p % ratio == ratio - 1) {
       continue;
     }
     uint64_t value = p;
@@ -354,10 +375,10 @@ TEST(PvmHugeTest, PartialSpanNeverPromotes) {
   (void)cache->Destroy();
 }
 
-TEST(PvmHugeTest, CowWriteDemotesTheSpanButCopiesExactlyOneBasePage) {
-  PvmHugeWorld world(64);
+PVM_HUGE_TEST(CowWriteDemotesTheSpanButCopiesExactlyOneBasePage) {
+  PvmHugeWorld world(ratio, 16 * ratio);
   Cache* src = *world.vm.CacheCreate(nullptr, "src");
-  const size_t pages = kRatio;
+  const size_t pages = ratio;
   Region* region = *world.vm.RegionCreate(*world.ctx, kBase, pages * kPage,
                                           Prot::kReadWrite, *src, 0);
   AsId as = world.ctx->address_space();
@@ -402,13 +423,13 @@ TEST(PvmHugeTest, CowWriteDemotesTheSpanButCopiesExactlyOneBasePage) {
   (void)src->Destroy();
 }
 
-TEST(PvmHugeTest, PageoutDemotesTheSpanBeforeHarvestingItsPages) {
+PVM_HUGE_TEST(PageoutDemotesTheSpanBeforeHarvestingItsPages) {
   PagedVm::Options options = PvmHugeWorld::MakeOptions();
-  options.low_water_frames = 4;
-  options.high_water_frames = 8;
-  PvmHugeWorld world(24, options);
+  options.low_water_frames = ratio;
+  options.high_water_frames = 2 * ratio;
+  PvmHugeWorld world(ratio, 6 * ratio, options);
   Cache* cache = *world.vm.CacheCreate(nullptr, "evict");
-  const size_t pages = 4 * kRatio;  // 16 committed pages over 24 frames
+  const size_t pages = 4 * ratio;  // 4 spans committed over 6 spans of frames
   Region* region = *world.vm.RegionCreate(*world.ctx, kBase, pages * kPage,
                                           Prot::kReadWrite, *cache, 0);
   AsId as = world.ctx->address_space();
@@ -423,9 +444,9 @@ TEST(PvmHugeTest, PageoutDemotesTheSpanBeforeHarvestingItsPages) {
   // must demote promoted spans before unmapping their base pages.
   Cache* filler = *world.vm.CacheCreate(nullptr, "filler");
   Region* filler_region = *world.vm.RegionCreate(*world.ctx, kBase + 0x400000,
-                                                 12 * kPage, Prot::kReadWrite,
+                                                 3 * ratio * kPage, Prot::kReadWrite,
                                                  *filler, 0);
-  for (size_t p = 0; p < 12; ++p) {
+  for (size_t p = 0; p < 3 * ratio; ++p) {
     uint64_t value = p;
     ASSERT_EQ(world.vm.cpu().Write(as, kBase + 0x400000 + p * kPage, &value,
                                    sizeof(value)),
@@ -447,25 +468,72 @@ TEST(PvmHugeTest, PageoutDemotesTheSpanBeforeHarvestingItsPages) {
   (void)cache->Destroy();
 }
 
-TEST(PvmHugeTest, OptOutWorldNeverPromotes) {
+PVM_HUGE_TEST(OptOutWorldNeverPromotes) {
   PagedVm::Options options;  // transparent_huge defaults to false
-  PhysicalMemory memory(64, kPage);
-  SoftMmu mmu(kPage, 10, kRatio);
+  PhysicalMemory memory(16 * ratio, kPage);
+  SoftMmu mmu(kPage, 10, ratio);
   PagedVm vm(memory, mmu, options);
   TestSwapRegistry registry(kPage);
   vm.BindSegmentRegistry(&registry);
   Context* ctx = *vm.ContextCreate();
   Cache* cache = *vm.CacheCreate(nullptr, "off");
   Region* region =
-      *vm.RegionCreate(*ctx, kBase, 2 * kRatio * kPage, Prot::kReadWrite, *cache, 0);
+      *vm.RegionCreate(*ctx, kBase, 2 * ratio * kPage, Prot::kReadWrite, *cache, 0);
   AsId as = ctx->address_space();
-  for (size_t p = 0; p < 2 * kRatio; ++p) {
+  for (size_t p = 0; p < 2 * ratio; ++p) {
     uint64_t value = p;
     ASSERT_EQ(vm.cpu().Write(as, kBase + p * kPage, &value, sizeof(value)), Status::kOk);
   }
   EXPECT_EQ(vm.detail_stats().promotions, 0u);
   EXPECT_FALSE(mmu.Lookup(as, kBase)->huge);
   (void)region->Destroy();
+  (void)cache->Destroy();
+}
+
+// Promotion of a span wider than the 64-page collect mask must harvest the
+// dirty bit of every base page.  Page 100 is written through its own base
+// mapping before the span is promoted; if promotion drops that bit, pageout
+// later treats the page as clean and discards the write.
+TEST(PvmHugeWideTest, PromotionKeepsWritesBeyondTheCollectMask) {
+  const size_t ratio = kWideRatio;
+  PagedVm::Options options = PvmHugeWorld::MakeOptions();
+  options.low_water_frames = ratio / 4;
+  options.high_water_frames = ratio / 2;
+  PvmHugeWorld world(ratio, 2 * ratio, options);
+  Cache* cache = *world.vm.CacheCreate(nullptr, "span");
+  Region* region = *world.vm.RegionCreate(*world.ctx, kBase, ratio * kPage,
+                                          Prot::kReadWrite, *cache, 0);
+  AsId as = world.ctx->address_space();
+  uint64_t scratch = 0;
+  for (size_t p = 0; p + 1 < ratio; ++p) {
+    ASSERT_EQ(world.vm.cpu().Read(as, kBase + p * kPage, &scratch, sizeof(scratch)),
+              Status::kOk);
+  }
+  const uint32_t marker = 0xDEADBEEF;
+  ASSERT_EQ(world.vm.cpu().Write(as, kBase + 100 * kPage, &marker, sizeof(marker)), Status::kOk);
+  ASSERT_EQ(world.vm.cpu().Read(as, kBase + (ratio - 1) * kPage, &scratch, sizeof(scratch)),
+            Status::kOk);
+  ASSERT_EQ(world.vm.detail_stats().promotions, 1u);
+
+  // Filler traffic pushes the promoted span out through pageout.
+  Cache* filler = *world.vm.CacheCreate(nullptr, "filler");
+  Region* filler_region = *world.vm.RegionCreate(*world.ctx, kBase + 0x400000,
+                                                 3 * ratio * kPage, Prot::kReadWrite,
+                                                 *filler, 0);
+  for (size_t p = 0; p < 3 * ratio; ++p) {
+    uint64_t value = p;
+    ASSERT_EQ(world.vm.cpu().Write(as, kBase + 0x400000 + p * kPage, &value, sizeof(value)),
+              Status::kOk);
+  }
+  EXPECT_GE(world.vm.detail_stats().demote_pageout, 1u);
+
+  uint32_t got = 0;
+  ASSERT_EQ(world.vm.cpu().Read(as, kBase + 100 * kPage, &got, sizeof(got)), Status::kOk);
+  EXPECT_EQ(got, marker);
+  EXPECT_EQ(world.vm.CheckInvariants(), Status::kOk);
+  (void)filler_region->Destroy();
+  (void)region->Destroy();
+  (void)filler->Destroy();
   (void)cache->Destroy();
 }
 

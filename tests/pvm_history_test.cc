@@ -462,6 +462,8 @@ TEST_F(PvmHistoryTest, ForkLikeMappedCowBothDirections) {
               Status::kOk);
   }
 
+  const uint64_t frame_copies_before = memory_.stats().frame_copies;
+  const uint64_t cow_copies_before = vm_.stats().cow_copies;
   Context* child_ctx = *vm_.ContextCreate();
   Cache* child_cache = *vm_.CacheCreate(nullptr, "child");
   ASSERT_EQ(parent_cache->CopyTo(*child_cache, 0, 0, 4 * kPage, CopyPolicy::kHistory),
@@ -487,6 +489,9 @@ TEST_F(PvmHistoryTest, ForkLikeMappedCowBothDirections) {
 
   // Page 2, untouched, is physically shared.
   EXPECT_GE(vm_.stats().cow_copies, 2u);
+  // Every COW copy is one physical frame copy, counted in the same place.
+  EXPECT_EQ(memory_.stats().frame_copies - frame_copies_before,
+            vm_.stats().cow_copies - cow_copies_before);
   EXPECT_EQ(vm_.CheckInvariants(), Status::kOk);
   ASSERT_EQ(child_ctx->Destroy(), Status::kOk);
   ASSERT_EQ(child_cache->Destroy(), Status::kOk);
