@@ -285,21 +285,33 @@ Status SegmentManager::MapperFree(const Capability& segment) {
 // ---------------------------------------------------------------------------
 
 SegmentManager::Entry* SegmentManager::FindBySegment(const Capability& segment) {
-  for (Entry& entry : entries_) {
-    if (!entry.temporary && *entry.segment == segment) {
-      return &entry;
-    }
-  }
-  return nullptr;
+  auto it = by_segment_.find(segment);
+  return it == by_segment_.end() ? nullptr : it->second;
 }
 
 SegmentManager::Entry* SegmentManager::FindByCache(Cache* cache) {
-  for (Entry& entry : entries_) {
-    if (entry.cache == cache) {
-      return &entry;
-    }
+  auto it = by_cache_.find(cache);
+  return it == by_cache_.end() ? nullptr : it->second;
+}
+
+SegmentManager::Entry* SegmentManager::NewEntryLocked() {
+  entries_.emplace_back();
+  Entry* entry = &entries_.back();
+  entry->self = std::prev(entries_.end());
+  return entry;
+}
+
+void SegmentManager::IndexEntryLocked(Entry* entry) {
+  by_cache_[entry->cache] = entry;
+  if (!entry->temporary) {
+    by_segment_[*entry->segment] = entry;
   }
-  return nullptr;
+}
+
+void SegmentManager::LruRemoveLocked(Entry* entry) {
+  if (entry->pooled()) {
+    unreferenced_.erase(entry->lru_pos);
+  }
 }
 
 Result<Cache*> SegmentManager::AcquireCache(const Capability& segment) {
@@ -309,14 +321,13 @@ Result<Cache*> SegmentManager::AcquireCache(const Capability& segment) {
     // Segment caching hit: "the manager first checks if there is a cache already
     // kept for it."
     if (entry->refs == 0) {
-      unreferenced_.remove(entry);
+      LruRemoveLocked(entry);
       ++stats_.cache_hits;
     }
     entry->refs++;
     return entry->cache;
   }
-  entries_.emplace_back();
-  Entry* entry = &entries_.back();
+  Entry* entry = NewEntryLocked();
   *entry->segment = segment;
   entry->refs = 1;
   entry->temporary = false;
@@ -328,14 +339,14 @@ Result<Cache*> SegmentManager::AcquireCache(const Capability& segment) {
     return cache.status();
   }
   entry->cache = *cache;
+  IndexEntryLocked(entry);
   ++stats_.caches_created;
   return entry->cache;
 }
 
 Result<Cache*> SegmentManager::AcquireTemporaryCache(std::string name) {
   MutexLock lock(mu_);
-  entries_.emplace_back();
-  Entry* entry = &entries_.back();
+  Entry* entry = NewEntryLocked();
   entry->refs = 1;
   entry->temporary = true;
   entry->driver = std::make_unique<SegmentManagerDriver>(*this, entry->segment);
@@ -347,6 +358,7 @@ Result<Cache*> SegmentManager::AcquireTemporaryCache(std::string name) {
     return cache.status();
   }
   entry->cache = *cache;
+  IndexEntryLocked(entry);
   ++stats_.caches_created;
   ++temp_counter_;
   return entry->cache;
@@ -357,7 +369,7 @@ void SegmentManager::AddRef(Cache* cache) {
   Entry* entry = FindByCache(cache);
   assert(entry != nullptr);
   if (entry->refs == 0) {
-    unreferenced_.remove(entry);
+    LruRemoveLocked(entry);
   }
   entry->refs++;
 }
@@ -382,11 +394,9 @@ void SegmentManager::Release(Cache* cache) {
       doomed.push_back(DetachEntryLocked(entry));
     } else {
       // Keep the unreferenced cache "as long as possible" (section 5.1.3).
-      unreferenced_.push_back(entry);
+      entry->lru_pos = unreferenced_.insert(unreferenced_.end(), entry);
       while (unreferenced_.size() > options_.cache_capacity) {
-        Entry* oldest = unreferenced_.front();
-        unreferenced_.pop_front();
-        doomed.push_back(DetachEntryLocked(oldest));
+        doomed.push_back(DetachEntryLocked(unreferenced_.front()));
         ++stats_.caches_discarded;
       }
     }
@@ -406,13 +416,15 @@ Cache* SegmentManager::DetachEntryLocked(Entry* entry) {
   // likewise retained (dying caches may page against it); both are reclaimed when
   // the manager is torn down.
   driver_graveyard_.push_back(std::move(entry->driver));
-  unreferenced_.remove(entry);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (&*it == entry) {
-      entries_.erase(it);
-      break;
-    }
+  LruRemoveLocked(entry);
+  auto by_cache = by_cache_.find(cache);
+  if (by_cache != by_cache_.end() && by_cache->second == entry) {
+    by_cache_.erase(by_cache);
   }
+  if (!entry->temporary) {
+    by_segment_.erase(*entry->segment);
+  }
+  entries_.erase(entry->self);
   return cache;
 }
 
@@ -424,12 +436,12 @@ SegmentDriver* SegmentManager::SegmentCreate(Cache& cache) {
   if (Entry* existing = FindByCache(&cache)) {
     return existing->driver.get();
   }
-  entries_.emplace_back();
-  Entry* entry = &entries_.back();
+  Entry* entry = NewEntryLocked();
   entry->cache = &cache;
   entry->refs = 0;  // MM-owned; lifetime is the MM's business
   entry->temporary = true;
   entry->driver = std::make_unique<SegmentManagerDriver>(*this, entry->segment);
+  IndexEntryLocked(entry);
   return entry->driver.get();
 }
 
@@ -500,6 +512,47 @@ Result<Cache*> SegmentManager::ResolveLocalCache(const Capability& cap) {
 size_t SegmentManager::CachedSegmentCount() const {
   MutexLock lock(mu_);
   return unreferenced_.size();
+}
+
+Status SegmentManager::CheckInvariants() const {
+  MutexLock lock(mu_);
+  bool ok = true;
+  auto fail = [&ok](const char* what) {
+    GVM_LOG(Error) << "segment manager invariant violated: " << what;
+    ok = false;
+  };
+  size_t permanent = 0;
+  size_t pooled = 0;
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    const Entry& entry = *it;
+    if (entry.self != it) {
+      fail("entry's stored position is stale");
+    }
+    auto by_cache = by_cache_.find(entry.cache);
+    if (by_cache == by_cache_.end() || by_cache->second != &entry) {
+      fail("entry missing from the cache index");
+    }
+    if (!entry.temporary) {
+      ++permanent;
+      auto by_segment = by_segment_.find(*entry.segment);
+      if (by_segment == by_segment_.end() || by_segment->second != &entry) {
+        fail("permanent entry missing from the segment index");
+      }
+    }
+    if (entry.pooled()) {
+      ++pooled;
+      if (*entry.lru_pos != &entry) {
+        fail("pooled entry has a stale LRU position");
+      }
+    }
+  }
+  if (by_cache_.size() != entries_.size() || by_segment_.size() != permanent) {
+    fail("an index holds an entry that entries_ does not");
+  }
+  if (pooled != unreferenced_.size()) {
+    fail("the LRU pool holds an entry that is not an idle permanent one");
+  }
+  return ok ? Status::kOk : Status::kBusError;
 }
 
 }  // namespace gvm

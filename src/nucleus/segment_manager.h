@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "src/fault/fault_injector.h"
 #include "src/gmi/memory_manager.h"
@@ -127,6 +128,9 @@ class SegmentManager : public SegmentRegistry {
     return stats_;
   }
   size_t CachedSegmentCount() const GVM_EXCLUDES(mu_);  // unreferenced pool size
+  // Recomputes the lookup indexes and the LRU pool from entries_ by brute
+  // force; kOk, or kBusError with the mismatch logged.
+  [[nodiscard]] Status CheckInvariants() const GVM_EXCLUDES(mu_);
   MemoryManager& mm() { return mm_; }
 
  private:
@@ -141,6 +145,17 @@ class SegmentManager : public SegmentRegistry {
     int refs = 0;
     bool temporary = false;
     uint64_t local_key = 0;      // key of the local-cache capability
+    std::list<Entry>::iterator self;  // position in entries_
+    // Position in unreferenced_, valid while the entry is pooled (pooled()).
+    std::list<Entry*>::iterator lru_pos;
+    // Exactly the idle permanent entries sit in the segment-cache pool.
+    bool pooled() const { return !temporary && refs == 0; }
+  };
+  // Segment-cache key: a capability's (port, key).
+  struct SegmentHash {
+    size_t operator()(const Capability& c) const {
+      return std::hash<uint64_t>()(c.key * 0x9e3779b97f4a7c15ull ^ c.port);
+    }
   };
 
   // Mapper RPC used by the drivers (marshals into the wire protocol).  All are
@@ -174,6 +189,12 @@ class SegmentManager : public SegmentRegistry {
 
   Entry* FindBySegment(const Capability& segment) GVM_REQUIRES(mu_);
   Entry* FindByCache(Cache* cache) GVM_REQUIRES(mu_);
+  // Appends a fresh entry to entries_; IndexEntryLocked enters it in the
+  // lookup tables once its cache exists.
+  Entry* NewEntryLocked() GVM_REQUIRES(mu_);
+  void IndexEntryLocked(Entry* entry) GVM_REQUIRES(mu_);
+  // O(1) removal of a pooled entry from the unreferenced LRU pool.
+  void LruRemoveLocked(Entry* entry) GVM_REQUIRES(mu_);
   // Unlinks the entry from the tables and parks its driver in the graveyard,
   // returning the cache to destroy *after* mu_ is released (Cache::Destroy may
   // re-enter this manager through pushOut upcalls).
@@ -195,6 +216,11 @@ class SegmentManager : public SegmentRegistry {
   MapperServer* default_mapper_ GVM_GUARDED_BY(mu_) = nullptr;
   std::map<PortId, MapperServer*> mappers_ GVM_GUARDED_BY(mu_);
   std::list<Entry> entries_ GVM_GUARDED_BY(mu_);
+  // Keyed indexes over entries_, so acquire, release and segmentCreate cost
+  // the same however many segments are live.  by_segment_ holds permanent
+  // entries only (temporaries are never looked up by segment).
+  std::unordered_map<Cache*, Entry*> by_cache_ GVM_GUARDED_BY(mu_);
+  std::unordered_map<Capability, Entry*, SegmentHash> by_segment_ GVM_GUARDED_BY(mu_);
   // Drivers of destroyed entries, kept alive for dying caches that still
   // reference them (see Entry::segment).
   std::vector<std::unique_ptr<SegmentDriver>> driver_graveyard_ GVM_GUARDED_BY(mu_);

@@ -2,6 +2,7 @@
 // invariant walker used by the property tests.
 #include <algorithm>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -12,18 +13,9 @@ namespace gvm {
 
 std::vector<PvmCache*> PagedVm::ChildrenOfCache(PvmCache* parent) const {
   std::vector<PvmCache*> children;
-  for (const auto& [id, cache] : caches_) {
-    if (cache.get() == parent) {
-      continue;
-    }
-    bool points = false;
-    cache->parents_.ForEach([&](const FragmentMap<LinkTarget>::Fragment& frag) {
-      if (frag.value.cache == parent) {
-        points = true;
-      }
-    });
-    if (points) {
-      children.push_back(cache.get());
+  for (const auto& [child, fragments] : parent->inbound_parent_links_) {
+    if (child != parent) {
+      children.push_back(child);
     }
   }
   std::sort(children.begin(), children.end(),
@@ -38,7 +30,7 @@ std::string PagedVm::DumpTree(Cache& cache) const {
   PvmCache* root = &start;
   for (int depth = 0; depth < 1024; ++depth) {
     PvmCache* up = nullptr;
-    root->parents_.ForEach([&](const FragmentMap<LinkTarget>::Fragment& frag) {
+    root->parents_.ForEach([&](const LinkFragment& frag) {
       if (up == nullptr) {
         up = frag.value.cache;
       }
@@ -87,7 +79,7 @@ std::string PagedVm::DumpTree(Cache& cache) const {
     }
     out << "]";
     bool first_hist = true;
-    item.cache->histories_.ForEach([&](const FragmentMap<LinkTarget>::Fragment& frag) {
+    item.cache->histories_.ForEach([&](const LinkFragment& frag) {
       out << (first_hist ? " history={" : ", ");
       first_hist = false;
       out << frag.value.cache->name() << ":[" << frag.start / page_size() << ".."
@@ -121,7 +113,7 @@ std::string PagedVm::DumpStats() const {
       << " history_pushes=" << d.history_pushes << " per_page_stubs=" << d.per_page_stubs
       << " stub_resolutions=" << d.stub_resolutions << " ancestor_lookups=" << d.ancestor_lookups
       << " collapsed=" << d.caches_collapsed << " reaped=" << d.caches_reaped
-      << " retargets=" << d.move_retargets << "\n";
+      << " retargets=" << d.move_retargets << " link_visits=" << d.reverse_link_visits << "\n";
   out << "recovery: io_retries=" << d.io_retries << " io_permanent=" << d.io_permanent_failures
       << " pushout_requeues=" << d.pushout_requeues << " degraded=" << d.degraded_segments
       << " alloc_retries=" << d.alloc_pressure_retries
@@ -170,6 +162,12 @@ Status PagedVm::CheckInvariants() const {
   };
 
   std::unordered_set<const PageDesc*> all_pages;
+  std::unordered_set<const PvmCache*> live_caches;
+  for (const auto& [id, cache] : caches_) {
+    live_caches.insert(cache.get());
+  }
+  std::unordered_map<const PvmCache*, ReverseLinks> expected_parent_links;
+  std::unordered_map<const PvmCache*, ReverseLinks> expected_history_links;
   for (const auto& [id, cache] : caches_) {
     for (const PageDesc& page : cache->pages_) {
       all_pages.insert(&page);
@@ -205,28 +203,19 @@ Status PagedVm::CheckInvariants() const {
     }
     // Parent/history links target live caches; history links have a matching
     // reverse parent link (the shape invariant, fragment-wise).
-    cache->parents_.ForEach([&](const FragmentMap<LinkTarget>::Fragment& frag) {
-      bool live = false;
-      for (const auto& [oid, other] : caches_) {
-        if (other.get() == frag.value.cache) {
-          live = true;
-        }
-      }
-      if (!live) {
+    cache->parents_.ForEach([&](const LinkFragment& frag) {
+      if (!live_caches.contains(frag.value.cache)) {
         fail("dangling parent link from " + cache->name());
+        return;
       }
+      ++expected_parent_links[frag.value.cache][cache.get()];
     });
-    cache->histories_.ForEach([&](const FragmentMap<LinkTarget>::Fragment& frag) {
-      bool live = false;
-      for (const auto& [oid, other] : caches_) {
-        if (other.get() == frag.value.cache) {
-          live = true;
-        }
-      }
-      if (!live) {
+    cache->histories_.ForEach([&](const LinkFragment& frag) {
+      if (!live_caches.contains(frag.value.cache)) {
         fail("dangling history link from " + cache->name());
         return;
       }
+      ++expected_history_links[frag.value.cache][cache.get()];
       // The history object must read back through us (or through a chain that
       // reaches us) for the linked range: check the immediate-parent property on
       // the fragment's first page.
@@ -239,6 +228,20 @@ Status PagedVm::CheckInvariants() const {
         fail("history object " + history->name() + " does not read through " + cache->name());
       }
     });
+    // A deferred reap must not outlive the pins that deferred it.
+    if (cache->reap_deferred_ && cache->upcall_pins_ == 0) {
+      fail("deferred reap of unpinned cache " + cache->name());
+    }
+  }
+  // The reverse-link tables equal the brute-force count of every link list's
+  // fragments, target by target: no linking cache is missing, none is stale.
+  for (const auto& [id, cache] : caches_) {
+    if (cache->inbound_parent_links_ != expected_parent_links[cache.get()]) {
+      fail("reverse parent-link table of " + cache->name() + " does not match the links");
+    }
+    if (cache->inbound_history_links_ != expected_history_links[cache.get()]) {
+      fail("reverse history-link table of " + cache->name() + " does not match the links");
+    }
   }
 
   // Pageout-queue consistency (DESIGN.md §15): the per-page queue tag matches
@@ -272,9 +275,12 @@ Status PagedVm::CheckInvariants() const {
       }
     }
   }
-  // Working-set consistency: index and FIFO agree, and every tracked page
-  // really is mapped into that address space.
+  // Working-set consistency: sets exist only for live address spaces, index
+  // and FIFO agree, and every tracked page really is mapped into that space.
   for (const auto& [as, ws] : working_sets_) {
+    if (!ContextLiveLocked(as)) {
+      fail("working set of a destroyed address space");
+    }
     if (ws.index.size() != ws.fifo.size()) {
       fail("working-set index/FIFO size mismatch");
     }
@@ -299,12 +305,20 @@ Status PagedVm::CheckInvariants() const {
     }
   }
 
-  // Every global-map entry is consistent.
+  // Every global-map entry is consistent, and each cache's stub index lists
+  // exactly its stub entries.
+  std::unordered_map<CacheId, std::unordered_set<uint64_t>> cow_stub_pages;
+  std::unordered_map<CacheId, size_t> sync_stubs;
   self->map_.ForEach([&](const GlobalMap::Key& key, const MapEntry& entry) {
     auto cache_it = caches_.find(key.cache);
     if (cache_it == caches_.end()) {
       fail("global-map entry for a dead cache");
       return;
+    }
+    if (entry.kind == MapEntry::Kind::kCowStub) {
+      cow_stub_pages[key.cache].insert(key.page_index);
+    } else if (entry.kind == MapEntry::Kind::kSyncStub) {
+      ++sync_stubs[key.cache];
     }
     if (entry.kind == MapEntry::Kind::kFrame) {
       if (entry.page == nullptr || !all_pages.contains(entry.page)) {
@@ -333,6 +347,15 @@ Status PagedVm::CheckInvariants() const {
       }
     }
   });
+
+  for (const auto& [id, cache] : caches_) {
+    if (cache->cow_stub_pages_ != cow_stub_pages[id]) {
+      fail("cow-stub index of " + cache->name() + " does not match the global map");
+    }
+    if (cache->sync_stubs_ != sync_stubs[id]) {
+      fail("sync-stub count of " + cache->name() + " does not match the global map");
+    }
+  }
 
   return ok ? Status::kOk : Status::kBusError;
 }

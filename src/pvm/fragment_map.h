@@ -8,6 +8,12 @@
 //
 // Inserting a range replaces whatever previously overlapped it (a new copy into a
 // segment logically overwrites the older deferred-copy source for that fragment).
+//
+// An optional Hooks type observes every fragment that enters or leaves the map:
+// Added(value) and Removed(value) run once each per fragment, and a split or trim
+// counts as the old fragment leaving and its surviving pieces entering (a left
+// piece that keeps its start and value stays put and is neither).  The PVM uses
+// this to keep each link target's reverse-link table exact (pvm_cache.h).
 #ifndef GVM_SRC_PVM_FRAGMENT_MAP_H_
 #define GVM_SRC_PVM_FRAGMENT_MAP_H_
 
@@ -20,7 +26,14 @@
 
 namespace gvm {
 
-template <typename V>
+struct NoFragmentHooks {
+  template <typename V>
+  void Added(const V& /*value*/) const {}
+  template <typename V>
+  void Removed(const V& /*value*/) const {}
+};
+
+template <typename V, typename Hooks = NoFragmentHooks>
 class FragmentMap {
  public:
   struct Fragment {
@@ -30,6 +43,12 @@ class FragmentMap {
 
     SegOffset end() const { return start + size; }
   };
+
+  FragmentMap() = default;
+  explicit FragmentMap(Hooks hooks) : hooks_(hooks) {}
+  // Copies would enter fragments without running Added.
+  FragmentMap(const FragmentMap&) = delete;
+  FragmentMap& operator=(const FragmentMap&) = delete;
 
   bool empty() const { return frags_.empty(); }
   size_t fragment_count() const { return frags_.size(); }
@@ -49,7 +68,7 @@ class FragmentMap {
   void Insert(SegOffset start, uint64_t size, V value) {
     assert(size > 0);
     Erase(start, size);
-    frags_.emplace(start, Fragment{.start = start, .size = size, .value = value});
+    Emplace(Fragment{.start = start, .size = size, .value = value});
   }
 
   // Remove any coverage of [start, start+size), splitting boundary fragments.
@@ -67,8 +86,8 @@ class FragmentMap {
         f.size = start - f.start;
         if (tail.end() > end) {
           uint64_t cut = end - tail.start;
-          frags_.emplace(end, Fragment{.start = end, .size = tail.end() - end,
-                                       .value = Advance(tail.value, cut)});
+          Emplace(Fragment{.start = end, .size = tail.end() - end,
+                           .value = Advance(tail.value, cut)});
         }
       }
     }
@@ -76,11 +95,12 @@ class FragmentMap {
     it = frags_.lower_bound(start);
     while (it != frags_.end() && it->second.start < end) {
       Fragment f = it->second;
+      hooks_.Removed(f.value);
       it = frags_.erase(it);
       if (f.end() > end) {
         uint64_t cut = end - f.start;
-        frags_.emplace(end, Fragment{.start = end, .size = f.end() - end,
-                                     .value = Advance(f.value, cut)});
+        Emplace(Fragment{.start = end, .size = f.end() - end,
+                         .value = Advance(f.value, cut)});
         break;
       }
     }
@@ -111,9 +131,19 @@ class FragmentMap {
     }
   }
 
-  void Clear() { frags_.clear(); }
+  void Clear() {
+    for (const auto& [start, frag] : frags_) {
+      hooks_.Removed(frag.value);
+    }
+    frags_.clear();
+  }
 
  private:
+  void Emplace(const Fragment& frag) {
+    hooks_.Added(frag.value);
+    frags_.emplace(frag.start, frag);
+  }
+
   // Values that carry a base offset must shift it when a fragment is clipped from
   // the left; value types opt in by providing `V Advanced(uint64_t delta) const`.
   template <typename T>
@@ -151,6 +181,7 @@ class FragmentMap {
   }
 
   std::map<SegOffset, Fragment> frags_;
+  [[no_unique_address]] Hooks hooks_{};
 };
 
 }  // namespace gvm

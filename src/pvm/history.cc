@@ -116,12 +116,9 @@ Status PagedVm::ClearDestinationRange(MutexLock& lock, PvmCache& dst,
   // dst's matching parent link to them disappears below, so the push obligation
   // disappears with it.  Leaving such links stale would let an old source push
   // originals into dst after the overwrite — corrupting the new copy.
-  for (auto& [other_id, other] : caches_) {
-    if (other.get() == &dst) {
-      continue;
-    }
+  for (PvmCache* other : LinkingCaches(dst.inbound_history_links_, dst)) {
     std::vector<std::pair<SegOffset, uint64_t>> stale;  // in `other`'s offsets
-    other->histories_.ForEach([&](const FragmentMap<LinkTarget>::Fragment& frag) {
+    other->histories_.ForEach([&](const LinkFragment& frag) {
       if (frag.value.cache != &dst) {
         return;
       }
@@ -167,7 +164,7 @@ Status PagedVm::ClearDestinationRange(MutexLock& lock, PvmCache& dst,
       }
       if (entry->kind == MapEntry::Kind::kCowStub) {
         UnlinkStub(entry->cow.get());
-        map_.Erase(dst.id(), PageIndex(off));
+        MapErase(dst, PageIndex(off));
         break;
       }
       // Sync stub: a pull-in is in flight; wait for it, then clear.
@@ -323,9 +320,9 @@ Status PagedVm::PerPageCopy(MutexLock& lock, PvmCache& src,
         continue;
       }
       CowStub* raw = stub.get();
-      map_.Insert(dst.id(), PageIndex(d_off),
-                  MapEntry{.kind = MapEntry::Kind::kCowStub, .page = nullptr,
-                           .cow = std::move(stub)});
+      MapInsert(dst, PageIndex(d_off),
+                MapEntry{.kind = MapEntry::Kind::kCowStub, .page = nullptr,
+                         .cow = std::move(stub)});
       ThreadStub(raw);
       ++detail_.per_page_stubs;
       ++mutable_stats().deferred_copy_pages;
@@ -420,14 +417,14 @@ Status PagedVm::MoveRange(MutexLock& lock, PvmCache& src, SegOffset src_off,
         // the real-page-to-cache assignments, rather than copying".
         UnmapAllMappings(*moving);
         // Threaded stubs keep pointing at the descriptor; its bytes are unchanged.
-        map_.Erase(src.id(), PageIndex(s_off));
+        MapErase(src, PageIndex(s_off));
         moving->cache = &dst;
         moving->offset = d_off;
         moving->sw_dirty = true;
         dst.pages_.splice(dst.pages_.end(), src.pages_, moving->self);
         moving->self = std::prev(dst.pages_.end());
-        map_.Insert(dst.id(), PageIndex(d_off),
-                    MapEntry{.kind = MapEntry::Kind::kFrame, .page = moving, .cow = nullptr});
+        MapInsert(dst, PageIndex(d_off),
+                  MapEntry{.kind = MapEntry::Kind::kFrame, .page = moving, .cow = nullptr});
         AdoptInboundStubs(dst, *moving);
         ++detail_.move_retargets;
         break;
@@ -444,12 +441,12 @@ Status PagedVm::MoveRange(MutexLock& lock, PvmCache& src, SegOffset src_off,
         // without touching a byte (section 5.1.6).  Its source threading is
         // unaffected by the move.
         std::unique_ptr<CowStub> stub = std::move(entry->cow);
-        map_.Erase(src.id(), PageIndex(s_off));
+        MapErase(src, PageIndex(s_off));
         stub->cache = &dst;
         stub->offset = d_off;
-        map_.Insert(dst.id(), PageIndex(d_off),
-                    MapEntry{.kind = MapEntry::Kind::kCowStub, .page = nullptr,
-                             .cow = std::move(stub)});
+        MapInsert(dst, PageIndex(d_off),
+                  MapEntry{.kind = MapEntry::Kind::kCowStub, .page = nullptr,
+                           .cow = std::move(stub)});
         ++detail_.move_retargets;
         break;
       }

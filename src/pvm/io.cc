@@ -122,15 +122,15 @@ Status PagedVm::CacheFillUp(MutexLock& lock, PvmCache& cache,
         if (was_stub) {
           // Remove the stub so MaterializePage sees an empty slot; accesses keep
           // sleeping until we wake them with the page installed.
-          map_.Erase(cache.id(), PageIndex(page_off));
+          MapErase(cache, PageIndex(page_off));
         }
         Result<PageDesc*> fresh =
             MaterializePage(lock, cache, page_off, kInvalidFrame, /*dirty=*/false, max_prot);
         if (!fresh.ok() && fresh.status() != Status::kRetry) {
           // Restore the stub so waiting threads are not stranded on a free slot.
           if (was_stub && FindEntry(cache, page_off) == nullptr) {
-            map_.Insert(cache.id(), PageIndex(page_off),
-                        MapEntry{.kind = MapEntry::Kind::kSyncStub, .page = nullptr, .cow = nullptr});
+            MapInsert(cache, PageIndex(page_off),
+                      MapEntry{.kind = MapEntry::Kind::kSyncStub, .page = nullptr, .cow = nullptr});
           }
           result = fresh.status();
           break;
@@ -142,7 +142,7 @@ Status PagedVm::CacheFillUp(MutexLock& lock, PvmCache& cache,
       if (entry->kind == MapEntry::Kind::kCowStub) {
         // A fill overrides a deferred-copy placeholder.
         UnlinkStub(entry->cow.get());
-        map_.Erase(cache.id(), PageIndex(page_off));
+        MapErase(cache, PageIndex(page_off));
         continue;
       }
       PageDesc* page_desc = entry->page;
@@ -296,7 +296,7 @@ Status PagedVm::CacheInvalidate(MutexLock& lock, PvmCache& cache,
       }
       if (entry->kind == MapEntry::Kind::kCowStub) {
         UnlinkStub(entry->cow.get());
-        map_.Erase(cache.id(), PageIndex(at));
+        MapErase(cache, PageIndex(at));
         break;
       }
       ++detail_.sync_stub_waits;

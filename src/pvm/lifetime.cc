@@ -2,7 +2,6 @@
 // (section 4.2.5: "remaining unmodified source data must be kept until the copy is
 // deleted"), reaping, and the collapse of chains of inactive history objects (the
 // garbage collection the paper contrasts with Mach's shadow-object GC).
-#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -14,17 +13,8 @@ namespace gvm {
 
 bool PagedVm::CacheHasDependents(const PvmCache& cache) const {
   // Any cache whose parent links target `cache`?
-  for (const auto& [id, other] : caches_) {
-    if (other.get() == &cache) {
-      continue;
-    }
-    bool depends = false;
-    other->parents_.ForEach([&](const FragmentMap<LinkTarget>::Fragment& frag) {
-      if (frag.value.cache == &cache) {
-        depends = true;
-      }
-    });
-    if (depends) {
+  for (const auto& [child, fragments] : cache.inbound_parent_links_) {
+    if (child != &cache) {
       return true;
     }
   }
@@ -44,12 +34,9 @@ void PagedVm::DropTreeLinksTo(PvmCache& cache) {
   // Remove every history link in the system that targets `cache`: once it is gone,
   // no source owes it original values any more.  The sources' pages become
   // writable again lazily, on their next write fault.
-  for (auto& [id, other] : caches_) {
-    if (other.get() == &cache) {
-      continue;
-    }
+  for (PvmCache* other : LinkingCaches(cache.inbound_history_links_, cache)) {
     std::vector<std::pair<SegOffset, uint64_t>> stale;
-    other->histories_.ForEach([&](const FragmentMap<LinkTarget>::Fragment& frag) {
+    other->histories_.ForEach([&](const LinkFragment& frag) {
       if (frag.value.cache == &cache) {
         stale.emplace_back(frag.start, frag.size);
       }
@@ -94,6 +81,12 @@ void PagedVm::ReapIfUnreferenced(MutexLock& lock, PvmCache& cache) {
   if (!cache.dying_ || cache.mapping_count_ > 0) {
     return;
   }
+  if (cache.upcall_pins_ > 0) {
+    // An upcall in flight re-derives state from this cache when the lock comes
+    // back; the last unpin re-runs this check (CacheUpcallPin).
+    cache.reap_deferred_ = true;
+    return;
+  }
   if (CacheHasDependents(cache)) {
     if (options_.collapse_dying_caches) {
       TryCollapse(lock, cache);
@@ -102,11 +95,10 @@ void PagedVm::ReapIfUnreferenced(MutexLock& lock, PvmCache& cache) {
   }
   // Nobody reads through this cache any more: free it, then re-examine the caches
   // it read through — they may have been waiting on us.
-  std::vector<PvmCache*> former_parents;
-  cache.parents_.ForEach([&](const FragmentMap<LinkTarget>::Fragment& frag) {
-    former_parents.push_back(frag.value.cache);
-  });
+  std::vector<CacheId> former_parents = ParentIds(cache);
+  // Clearing both lists takes this cache out of its targets' reverse tables.
   cache.parents_.Clear();
+  cache.histories_.Clear();
   DropTreeLinksTo(cache);
   {
     // One gathered shootdown for the whole cache teardown (see ReleasePages).
@@ -116,20 +108,33 @@ void PagedVm::ReapIfUnreferenced(MutexLock& lock, PvmCache& cache) {
     }
   }
   // Purge the stub entries this cache still owns (deferred-copy placeholders whose
-  // value was never demanded), unlinking each from its source.
-  CacheId id = cache.id();
-  map_.EraseCacheEntries(id, [this](MapEntry& entry) {
-    if (entry.kind == MapEntry::Kind::kCowStub) {
-      UnlinkStub(entry.cow.get());
-    }
-  });
+  // value was never demanded), unlinking each from its source.  No sync stub can
+  // remain: the pull-in that placed one pins the cache until it is gone.
+  const CacheId id = cache.id();
+  assert(cache.sync_stubs_ == 0);
+  for (uint64_t index : cache.cow_stub_pages_) {
+    UnlinkStub(map_.Find(id, index)->cow.get());
+    map_.Erase(id, index);
+  }
+  cache.cow_stub_pages_.clear();
+  assert(cache.inbound_parent_links_.empty() && cache.inbound_history_links_.empty());
   ++detail_.caches_reaped;
   caches_.erase(id);  // destroys `cache`
-  for (PvmCache* parent : former_parents) {
-    auto it = std::find_if(caches_.begin(), caches_.end(),
-                           [parent](const auto& kv) { return kv.second.get() == parent; });
+  ReapFormerParents(lock, former_parents);
+}
+
+std::vector<CacheId> PagedVm::ParentIds(const PvmCache& cache) {
+  std::vector<CacheId> ids;
+  cache.parents_.ForEach([&](const LinkFragment& frag) { ids.push_back(frag.value.cache->id()); });
+  return ids;
+}
+
+void PagedVm::ReapFormerParents(MutexLock& lock, const std::vector<CacheId>& parents) {
+  // A parent may already be gone: an earlier cascade in this loop can free it.
+  for (CacheId id : parents) {
+    auto it = caches_.find(id);
     if (it != caches_.end()) {
-      ReapIfUnreferenced(lock, *parent);
+      ReapIfUnreferenced(lock, *it->second);
     }
   }
 }
@@ -157,31 +162,17 @@ bool PagedVm::TryCollapse(MutexLock& lock, PvmCache& cache) {
   }
   // Deferred-copy placeholders we own define our value at those offsets; the child
   // reads them through us, so splicing us out would corrupt its view.
-  if (map_.CacheHasEntryOfKind(cache.id(), MapEntry::Kind::kCowStub)) {
+  if (!cache.cow_stub_pages_.empty()) {
     return false;
   }
   // Exactly one child?
-  PvmCache* child = nullptr;
-  for (const auto& [id, other] : caches_) {
-    if (other.get() == &cache) {
-      continue;
-    }
-    bool depends = false;
-    other->parents_.ForEach([&](const FragmentMap<LinkTarget>::Fragment& frag) {
-      if (frag.value.cache == &cache) {
-        depends = true;
-      }
-    });
-    if (depends) {
-      if (child != nullptr) {
-        return false;  // multiple children: the tree structure is still needed
-      }
-      child = other.get();
-    }
+  const std::vector<PvmCache*> children = LinkingCaches(cache.inbound_parent_links_, cache);
+  if (children.size() != 1) {
+    // Several children: the tree structure is still needed.  None: the
+    // ReapIfUnreferenced path handles the no-dependent case.
+    return false;
   }
-  if (child == nullptr) {
-    return false;  // ReapIfUnreferenced handles the no-dependent case
-  }
+  PvmCache* child = children.front();
 
   // Collect the child's fragments that read through us, as (child range -> our
   // base offset) triples.
@@ -192,7 +183,7 @@ bool PagedVm::TryCollapse(MutexLock& lock, PvmCache& cache) {
     bool copy_on_reference;
   };
   std::vector<Window> windows;
-  child->parents_.ForEach([&](const FragmentMap<LinkTarget>::Fragment& frag) {
+  child->parents_.ForEach([&](const LinkFragment& frag) {
     if (frag.value.cache == &cache) {
       windows.push_back(Window{frag.start, frag.size, frag.value.base,
                                frag.value.copy_on_reference});
@@ -226,14 +217,14 @@ bool PagedVm::TryCollapse(MutexLock& lock, PvmCache& cache) {
       continue;
     }
     UnmapAllMappings(*page);
-    map_.Erase(cache.id(), PageIndex(page->offset));
+    MapErase(cache, PageIndex(page->offset));
     page->cache = child;
     page->offset = child_off;
     page->sw_dirty = true;
     child->pages_.splice(child->pages_.end(), cache.pages_, page->self);
     page->self = std::prev(child->pages_.end());
-    map_.Insert(child->id(), PageIndex(child_off),
-                MapEntry{.kind = MapEntry::Kind::kFrame, .page = page, .cow = nullptr});
+    MapInsert(*child, PageIndex(child_off),
+              MapEntry{.kind = MapEntry::Kind::kFrame, .page = page, .cow = nullptr});
     AdoptInboundStubs(*child, *page);
   }
 
@@ -253,12 +244,9 @@ bool PagedVm::TryCollapse(MutexLock& lock, PvmCache& cache) {
   // we were the snapshot-holder for the child, so originals that a source would
   // have pushed into us now belong directly in the child.  Ranges the child does
   // not read through us have no reader left and are dropped.
-  for (auto& [id, other] : caches_) {
-    if (other.get() == &cache) {
-      continue;
-    }
-    std::vector<FragmentMap<LinkTarget>::Fragment> pointing;
-    other->histories_.ForEach([&](const FragmentMap<LinkTarget>::Fragment& frag) {
+  for (PvmCache* other : LinkingCaches(cache.inbound_history_links_, cache)) {
+    std::vector<LinkFragment> pointing;
+    other->histories_.ForEach([&](const LinkFragment& frag) {
       if (frag.value.cache == &cache) {
         pointing.push_back(frag);
       }
@@ -284,22 +272,13 @@ bool PagedVm::TryCollapse(MutexLock& lock, PvmCache& cache) {
   // Our own history links are inert (a dying cache has no mappings, hence no
   // writes).  Cascade-reap our former parents that might only have been kept
   // alive by us.
-  std::vector<PvmCache*> former_parents;
-  cache.parents_.ForEach([&](const FragmentMap<LinkTarget>::Fragment& frag) {
-    former_parents.push_back(frag.value.cache);
-  });
+  std::vector<CacheId> former_parents = ParentIds(cache);
   cache.histories_.Clear();
   cache.parents_.Clear();
+  assert(cache.inbound_parent_links_.empty() && cache.inbound_history_links_.empty());
   ++detail_.caches_collapsed;
-  CacheId id = cache.id();
-  caches_.erase(id);
-  for (PvmCache* parent : former_parents) {
-    auto it = std::find_if(caches_.begin(), caches_.end(),
-                           [parent](const auto& kv) { return kv.second.get() == parent; });
-    if (it != caches_.end()) {
-      ReapIfUnreferenced(lock, *parent);
-    }
-  }
+  caches_.erase(cache.id());
+  ReapFormerParents(lock, former_parents);
   return true;
 }
 

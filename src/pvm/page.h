@@ -9,6 +9,7 @@
 #ifndef GVM_SRC_PVM_PAGE_H_
 #define GVM_SRC_PVM_PAGE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -126,7 +127,14 @@ class GlobalMap {
     return it->second;
   }
 
-  void Erase(CacheId cache, uint64_t page_index) { map_.erase(Key{cache, page_index}); }
+  // Removes the entry, which must exist, and returns its kind.
+  MapEntry::Kind Erase(CacheId cache, uint64_t page_index) {
+    auto it = map_.find(Key{cache, page_index});
+    assert(it != map_.end());
+    const MapEntry::Kind kind = it->second.kind;
+    map_.erase(it);
+    return kind;
+  }
 
   size_t size() const { return map_.size(); }
 
@@ -138,29 +146,6 @@ class GlobalMap {
       }
     }
     return n;
-  }
-
-  bool CacheHasEntryOfKind(CacheId cache, MapEntry::Kind kind) const {
-    for (const auto& [key, entry] : map_) {
-      if (key.cache == cache && entry.kind == kind) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Remove every entry belonging to `cache`, invoking `on_entry` first (used at
-  // cache teardown to unlink stubs).
-  template <typename Fn>
-  void EraseCacheEntries(CacheId cache, Fn&& on_entry) {
-    for (auto it = map_.begin(); it != map_.end();) {
-      if (it->first.cache == cache) {
-        on_entry(it->second);
-        it = map_.erase(it);
-      } else {
-        ++it;
-      }
-    }
   }
 
   template <typename Fn>

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <thread>
 
 #include "src/util/align.h"
@@ -163,6 +164,7 @@ Result<PageDesc*> PagedVm::MaterializePage(MutexLock& lock, PvmCache& cache,
                                            SegOffset page_offset, FrameIndex source,
                                            bool dirty, Prot max_prot) {
   assert(IsAligned(page_offset, page_size()));
+  CacheUpcallPin pin(*this, lock, cache);  // the allocation may drop the lock
   bool dropped = false;
   Result<FrameIndex> frame = AllocateFrame(lock, &dropped);
   if (!frame.ok()) {
@@ -188,8 +190,8 @@ Result<PageDesc*> PagedVm::MaterializePage(MutexLock& lock, PvmCache& cache,
   page.max_prot = max_prot;
   page.sw_dirty = dirty;
   page.self = it;
-  map_.Insert(cache.id(), PageIndex(page_offset),
-              MapEntry{.kind = MapEntry::Kind::kFrame, .page = &page, .cow = nullptr});
+  MapInsert(cache, PageIndex(page_offset),
+            MapEntry{.kind = MapEntry::Kind::kFrame, .page = &page, .cow = nullptr});
   AdoptInboundStubs(cache, page);
   if (dropped) {
     // The state the caller derived before calling us is stale.
@@ -267,9 +269,7 @@ Status PagedVm::MaterializeStubsOf(MutexLock& lock, PvmCache& cache,
       fresh.stubs.push_back(stub);
     }
     cache.inbound_stubs_.erase(it);
-    entry->kind = MapEntry::Kind::kFrame;
-    entry->page = &fresh;
-    entry->cow.reset();
+    MapSetFrame(dst, *entry, fresh);
     AdoptInboundStubs(dst, fresh);
     ++detail_.stub_resolutions;
     ++mutable_stats().cow_copies;
@@ -347,7 +347,7 @@ void PagedVm::FreePage(PageDesc* page) {
     page->stubs.clear();
   }
   PvmCache& cache = *page->cache;
-  map_.Erase(cache.id(), PageIndex(page->offset));
+  MapErase(cache, PageIndex(page->offset));
   // Inside a gather scope the unmaps above have published but not yet fenced,
   // so a reader may still be using a cached translation to this frame: park it
   // on the gather and recycle it only after commit.  Outside a gather this is
@@ -887,9 +887,7 @@ Status PagedVm::DetachStubs(MutexLock& lock, PageDesc& page,
     fresh.stubs.push_back(stub);
   }
   page.stubs.clear();
-  entry->kind = MapEntry::Kind::kFrame;
-  entry->page = &fresh;
-  entry->cow.reset();
+  MapSetFrame(dst, *entry, fresh);
   AdoptInboundStubs(dst, fresh);
   ++detail_.stub_resolutions;
   ++mutable_stats().cow_copies;
@@ -904,6 +902,8 @@ Status PagedVm::DetachStubs(MutexLock& lock, PageDesc& page,
 Result<PageDesc*> PagedVm::EnsureWritablePage(MutexLock& lock,
                                               PvmCache& cache, SegOffset page_offset,
                                               bool* dropped_lock) {
+  // Taken at the first lock drop below that re-derives from `cache` afterwards.
+  std::optional<CacheUpcallPin> pin;
   for (int rounds = 0; rounds < 4096; ++rounds) {
     MapEntry* entry = FindEntry(cache, page_offset);
     if (entry != nullptr && entry->kind == MapEntry::Kind::kSyncStub) {
@@ -928,6 +928,9 @@ Result<PageDesc*> PagedVm::EnsureWritablePage(MutexLock& lock,
           return Status::kProtectionFault;
         }
         const uint64_t epoch = cache.revoke_epoch_;
+        if (!pin) {
+          pin.emplace(*this, lock, cache);
+        }
         lock.unlock();
         Status granted = driver->GetWriteAccess(cache, page_offset, page_size());
         lock.lock();
@@ -1005,6 +1008,9 @@ Result<PageDesc*> PagedVm::EnsureWritablePage(MutexLock& lock,
       // means the link was established over the stub, whose value is src's.)
       bool dropped = false;
       PagePin src_pin(*src);
+      if (!pin) {
+        pin.emplace(*this, lock, cache);
+      }
       Result<FrameIndex> frame = AllocateFrame(lock, &dropped);
       if (!frame.ok()) {
         return frame.status();
@@ -1025,9 +1031,7 @@ Result<PageDesc*> PagedVm::EnsureWritablePage(MutexLock& lock,
       fresh.max_prot = Prot::kAll;
       fresh.sw_dirty = true;
       fresh.self = it;
-      entry->kind = MapEntry::Kind::kFrame;
-      entry->page = &fresh;
-      entry->cow.reset();
+      MapSetFrame(cache, *entry, fresh);
       AdoptInboundStubs(cache, fresh);
       ++detail_.stub_resolutions;
       ++mutable_stats().cow_copies;
@@ -1324,7 +1328,19 @@ void PagedVm::OnRegionUnmapping(RegionImpl& region) {
         DemoteIfHuge(as, run_start + i * page_bytes, DemoteReason::kOther);
       }
       uint64_t dirty_mask = 0;
-      (void)mmu().UnmapRangeCollect(as, run_start, run.size(), &dirty_mask);
+      if (mmu().UnmapRangeCollect(as, run_start, run.size(), &dirty_mask) != Status::kOk) {
+        // The batch failed part-way: harvest page by page instead.  Every page
+        // of the run was mapped, so one whose translation is already gone went
+        // with the failed batch, and its dirty bit with it — count it dirty (a
+        // spurious pushOut costs I/O; a dropped dirty bit loses data).
+        dirty_mask = 0;
+        for (size_t i = 0; i < run.size(); ++i) {
+          Result<MmuEntry> removed = mmu().UnmapCollect(as, run_start + i * page_bytes);
+          if (!removed.ok() || removed->dirty) {
+            dirty_mask |= uint64_t{1} << i;
+          }
+        }
+      }
       for (size_t i = 0; i < run.size(); ++i) {
         PageDesc* page = run[i];
         if ((dirty_mask >> i) & 1) {

@@ -18,6 +18,7 @@
 #define GVM_SRC_PVM_PAGED_VM_H_
 
 #include <atomic>
+#include <cassert>
 #include <list>
 #include <map>
 #include <memory>
@@ -46,6 +47,10 @@ struct PvmDetailStats {
   uint64_t caches_collapsed = 0;      // dying caches merged into their single child
   uint64_t caches_reaped = 0;         // dying caches freed outright
   uint64_t move_retargets = 0;        // pages moved by re-assigning frame-to-cache
+  // Caches whose link lists teardown, collapse and copy setup walked, found
+  // through the target's reverse-link tables: a job's count follows its own
+  // tree, whatever else is alive (DESIGN.md §17).
+  uint64_t reverse_link_visits = 0;
   // Fault-recovery accounting (see DESIGN.md "Fault model and recovery semantics").
   uint64_t io_retries = 0;             // transient-kBusError upcalls retried
   uint64_t io_permanent_failures = 0;  // kBusError upcalls that exhausted the retry budget
@@ -215,6 +220,8 @@ class PagedVm final : public BaseMm {
   size_t ModifiedQueueLength() const;
   size_t StandbyQueueLength() const;
   size_t WorkingSetPages(AsId as) const;
+  // Address spaces with a working-set table (only live spaces have one).
+  size_t WorkingSetCount() const;
   // Renders the history tree reachable from `cache` in the notation of Figure 3.
   std::string DumpTree(Cache& cache) const;
   // One-page human-readable dump of MM, detail, MMU and TLB counters.
@@ -229,6 +236,7 @@ class PagedVm final : public BaseMm {
                       MutexLock& lock) override GVM_REQUIRES(mu_);
   void OnRegionMapped(RegionImpl& region, MutexLock& lock) override GVM_REQUIRES(mu_);
   void OnRegionUnmapping(RegionImpl& region) override GVM_REQUIRES(mu_);
+  void OnContextDestroyed(AsId as) override GVM_REQUIRES(mu_);
   void OnRegionSplit(RegionImpl& first, RegionImpl& second) override GVM_REQUIRES(mu_);
   void OnRegionProtection(RegionImpl& region) override GVM_REQUIRES(mu_);
   [[nodiscard]] Status OnRegionLock(RegionImpl& region, MutexLock& lock) override GVM_REQUIRES(mu_);
@@ -242,6 +250,38 @@ class PagedVm final : public BaseMm {
   uint64_t StubKey(const PvmCache& cache, SegOffset offset) const;
   PageDesc* FindOwned(PvmCache& cache, SegOffset page_offset) GVM_REQUIRES(mu_);
   MapEntry* FindEntry(PvmCache& cache, SegOffset page_offset) GVM_REQUIRES(mu_);
+
+  // Global-map edits.  Every insert, erase and in-place stub resolution goes
+  // through these, which keep the owning cache's stub index
+  // (PvmCache::cow_stub_pages_, sync_stubs_) exact; kFrame entries cost no
+  // index operation.
+  MapEntry& MapInsert(PvmCache& cache, uint64_t page_index, MapEntry entry) GVM_REQUIRES(mu_) {
+    NoteStubEntry(cache, page_index, entry.kind, /*added=*/true);
+    return map_.Insert(cache.id(), page_index, std::move(entry));
+  }
+  void MapErase(PvmCache& cache, uint64_t page_index) GVM_REQUIRES(mu_) {
+    NoteStubEntry(cache, page_index, map_.Erase(cache.id(), page_index), /*added=*/false);
+  }
+  // `entry`, a kCowStub of `cache`, becomes the resident page `page` in place.
+  void MapSetFrame(PvmCache& cache, MapEntry& entry, PageDesc& page) GVM_REQUIRES(mu_) {
+    assert(entry.kind == MapEntry::Kind::kCowStub && page.cache == &cache);
+    NoteStubEntry(cache, PageIndex(page.offset), entry.kind, /*added=*/false);
+    entry.kind = MapEntry::Kind::kFrame;
+    entry.page = &page;
+    entry.cow.reset();
+  }
+  static void NoteStubEntry(PvmCache& cache, uint64_t page_index, MapEntry::Kind kind,
+                            bool added) {
+    if (kind == MapEntry::Kind::kCowStub) {
+      if (added) {
+        cache.cow_stub_pages_.insert(page_index);
+      } else {
+        cache.cow_stub_pages_.erase(page_index);
+      }
+    } else if (kind == MapEntry::Kind::kSyncStub) {
+      cache.sync_stubs_ += added ? 1 : -1;
+    }
+  }
 
   // Allocate a frame, evicting if the pool is dry and page-out is enabled.  May
   // drop the lock (page-out upcalls); `*dropped_lock` reports that.
@@ -401,8 +441,52 @@ class PagedVm final : public BaseMm {
   bool CacheHasDependents(const PvmCache& cache) const GVM_REQUIRES(mu_);
   // Distinct caches whose parent links target `parent`, sorted by id.
   std::vector<PvmCache*> ChildrenOfCache(PvmCache* parent) const GVM_REQUIRES(mu_);
+  // The caches named in one of `self`'s reverse-link tables, `self` excluded,
+  // copied out so the caller may edit their links while walking them.  Counted
+  // in reverse_link_visits.
+  std::vector<PvmCache*> LinkingCaches(const ReverseLinks& table,
+                                       const PvmCache& self) GVM_REQUIRES(mu_) {
+    std::vector<PvmCache*> out;
+    out.reserve(table.size());
+    for (const auto& [other, fragments] : table) {
+      if (other != &self) {
+        out.push_back(other);
+      }
+    }
+    detail_.reverse_link_visits += out.size();
+    return out;
+  }
   // Free a dying cache whose last dependent vanished; cascades to its ancestors.
   void ReapIfUnreferenced(MutexLock& lock, PvmCache& cache) GVM_REQUIRES(mu_);
+  // Ids of the caches `cache`'s parent links target (one per fragment), taken
+  // before the links are cleared, and the reap cascade over them.
+  static std::vector<CacheId> ParentIds(const PvmCache& cache);
+  void ReapFormerParents(MutexLock& lock, const std::vector<CacheId>& parents) GVM_REQUIRES(mu_);
+  // Holds a cache across a site that drops the manager lock (an upcall, or a
+  // frame allocation that may evict): a reap asked for meanwhile is deferred
+  // and re-run by the last unpin, so the site may re-derive state from the
+  // cache once the lock is back.  Code after the pin's scope must not touch
+  // the cache unless something else keeps it alive.
+  class CacheUpcallPin {
+   public:
+    CacheUpcallPin(PagedVm& vm, MutexLock& lock, PvmCache& cache) GVM_REQUIRES(vm.mu_)
+        : vm_(vm), lock_(lock), cache_(cache) {
+      ++cache_.upcall_pins_;
+    }
+    ~CacheUpcallPin() GVM_REQUIRES(vm_.mu_) {
+      if (--cache_.upcall_pins_ == 0 && cache_.reap_deferred_) {
+        cache_.reap_deferred_ = false;
+        vm_.ReapIfUnreferenced(lock_, cache_);
+      }
+    }
+    CacheUpcallPin(const CacheUpcallPin&) = delete;
+    CacheUpcallPin& operator=(const CacheUpcallPin&) = delete;
+
+   private:
+    PagedVm& vm_;
+    MutexLock& lock_;
+    PvmCache& cache_;
+  };
   // Merge a dying cache into its single child if possible (section 4.2.5 GC).
   bool TryCollapse(MutexLock& lock, PvmCache& cache) GVM_REQUIRES(mu_);
   void DropTreeLinksTo(PvmCache& cache) GVM_REQUIRES(mu_);

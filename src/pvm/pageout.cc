@@ -128,6 +128,17 @@ void PagedVm::WsNoteUnmapped(AsId as, PageDesc& page) {
   }
 }
 
+void PagedVm::OnContextDestroyed(AsId as) {
+  // Every region of the space is gone, so its working set is empty.  Drop the
+  // set with its thrash EWMA (which alone keeps a drained set alive above):
+  // otherwise one dead entry per address space ever created stays behind.
+  auto it = working_sets_.find(as);
+  if (it != working_sets_.end()) {
+    assert(it->second.fifo.empty());
+    working_sets_.erase(it);
+  }
+}
+
 void PagedVm::TrimPageFromAs(PageDesc& page, AsId as) {
   for (size_t i = page.mappings.size(); i > 0; --i) {
     if (page.mappings[i - 1].as == as) {
@@ -354,6 +365,7 @@ Status PagedVm::EnsureDriver(MutexLock& lock, PvmCache& cache) {
   }
   cache.driver_requested_ = true;
   SegmentRegistry* reg = registry();
+  CacheUpcallPin pin(*this, lock, cache);
   lock.unlock();
   // "With the segmentCreate upcall, the MM may declare such a cache to the upper
   // layer, so that it can be swapped out."
@@ -372,6 +384,7 @@ Status PagedVm::PushOutPageLocked(MutexLock& lock, PvmCache& cache,
   if (page.pin_count > 0) {
     return Status::kLocked;
   }
+  CacheUpcallPin pin(*this, lock, cache);
   QueueRemove(page);  // leaving the settled states; requeued on completion
   if (cache.driver_ == nullptr) {
     Status s = EnsureDriver(lock, cache);
@@ -472,6 +485,7 @@ Status PagedVm::PushOutPageLocked(MutexLock& lock, PvmCache& cache,
 Status PagedVm::PullInLocked(MutexLock& lock, PvmCache& cache,
                              SegOffset page_offset, Access access) {
   assert(IsAligned(page_offset, page_size()));
+  CacheUpcallPin pin(*this, lock, cache);
   MapEntry* existing = FindEntry(cache, page_offset);
   if (existing != nullptr) {
     // Someone beat us to it (or a stub is already in place): just wait it out.
@@ -488,7 +502,8 @@ Status PagedVm::PullInLocked(MutexLock& lock, PvmCache& cache,
   }
   // "Before calling pullIn, the PVM places a synchronization page stub in the
   // global map for that page."
-  map_.Insert(cache.id(), PageIndex(page_offset), MapEntry{.kind = MapEntry::Kind::kSyncStub, .page = nullptr, .cow = nullptr});
+  MapInsert(cache, PageIndex(page_offset),
+            MapEntry{.kind = MapEntry::Kind::kSyncStub, .page = nullptr, .cow = nullptr});
   ++mutable_stats().pull_ins;
   Status pulled = Status::kOk;
   for (uint64_t attempt = 0;; ++attempt) {
@@ -529,7 +544,7 @@ Status PagedVm::PullInLocked(MutexLock& lock, PvmCache& cache,
     // instead of hanging on a stub nobody will resolve.
     MapEntry* entry = FindEntry(cache, page_offset);
     if (entry != nullptr && entry->kind == MapEntry::Kind::kSyncStub) {
-      map_.Erase(cache.id(), PageIndex(page_offset));
+      MapErase(cache, PageIndex(page_offset));
     }
     sleepers_.WakeAll(StubKey(cache, page_offset), mu_);
     return pulled == Status::kPortDead ? Status::kPortDead : Status::kBusError;
@@ -550,6 +565,7 @@ Status PagedVm::PullInLocked(MutexLock& lock, PvmCache& cache,
 Status PagedVm::PushOutRunLocked(MutexLock& lock, PvmCache& cache, SegOffset start,
                                  size_t pages) {
   assert(pages >= 1);
+  CacheUpcallPin pin(*this, lock, cache);
   SegmentDriver* driver = cache.driver_;
   assert(driver != nullptr && "batch push requires a resolved driver");
   const size_t page_bytes = page_size();
@@ -816,6 +832,11 @@ size_t PagedVm::WorkingSetPages(AsId as) const {
   MutexLock lock(mu_);
   auto it = working_sets_.find(as);
   return it == working_sets_.end() ? 0 : it->second.fifo.size();
+}
+
+size_t PagedVm::WorkingSetCount() const {
+  MutexLock lock(mu_);
+  return working_sets_.size();
 }
 
 void PagedVm::NoteMapperRecovery(uint64_t records_replayed, uint64_t records_discarded) {

@@ -13,8 +13,10 @@
 #ifndef GVM_SRC_PVM_PVM_CACHE_H_
 #define GVM_SRC_PVM_PVM_CACHE_H_
 
+#include <cassert>
 #include <list>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "src/gmi/cache.h"
@@ -40,6 +42,24 @@ struct LinkTarget {
   }
   bool operator==(const LinkTarget&) const = default;
 };
+
+// Reverse-link table of a cache: for every cache holding fragments that target
+// it, how many.
+using ReverseLinks = std::unordered_map<PvmCache*, uint32_t>;
+
+// FragmentMap hook that keeps the target side of a link list exact: each
+// fragment of `owner`'s list targeting cache T is counted in T's `reverse`
+// table, and `owner` leaves that table with its last such fragment.
+struct ReverseLinkHook {
+  PvmCache* owner = nullptr;
+  ReverseLinks PvmCache::*reverse = nullptr;
+
+  void Added(const LinkTarget& link) const;
+  void Removed(const LinkTarget& link) const;
+};
+
+using LinkMap = FragmentMap<LinkTarget, ReverseLinkHook>;
+using LinkFragment = LinkMap::Fragment;
 
 class PvmCache final : public Cache {
  public:
@@ -97,8 +117,14 @@ class PvmCache final : public Cache {
   bool driver_requested_ = false;  // segmentCreate upcall already performed
 
   std::list<PageDesc> pages_;  // the doubly-linked list of cached real pages
-  FragmentMap<LinkTarget> parents_;
-  FragmentMap<LinkTarget> histories_;
+  // Reverse links (DESIGN.md §17): the caches whose parents_ (histories_) hold
+  // fragments targeting this cache — its children, and the copy sources that
+  // push originals into it.  Exact at all times: the hooks on parents_ and
+  // histories_ maintain them, and a cache clears both lists before it is freed.
+  ReverseLinks inbound_parent_links_;
+  ReverseLinks inbound_history_links_;
+  LinkMap parents_{ReverseLinkHook{this, &PvmCache::inbound_parent_links_}};
+  LinkMap histories_{ReverseLinkHook{this, &PvmCache::inbound_history_links_}};
   // Per-page stubs in their non-resident form ("pointer to the source local-cache
   // descriptor and its offset"), indexed by source page so they can be re-threaded
   // onto the page descriptor the moment the page becomes resident again.
@@ -108,7 +134,18 @@ class PvmCache final : public Cache {
   // (pushed out at least once).  Lets the miss walk decide between continuing to
   // an ancestor, pulling in from our segment, and zero-filling.
   std::unordered_set<uint64_t> pushed_pages_;
+  // This cache's stub entries in the global map, so that teardown and the
+  // collapse check never scan the whole map: the page indices holding a
+  // kCowStub, and the number of kSyncStubs.  kFrame entries are not indexed
+  // (pages_ lists them).  Maintained by PagedVm::MapInsert/MapErase/MapSetFrame.
+  std::unordered_set<uint64_t> cow_stub_pages_;
+  size_t sync_stubs_ = 0;
   size_t mapping_count_ = 0;  // regions currently mapping this cache
+  // Upcalls in flight on this cache (the manager lock is dropped around each).
+  // While nonzero a reap or collapse is deferred (reap_deferred_ records that
+  // one was asked for) and the last unpin re-runs it.
+  uint32_t upcall_pins_ = 0;
+  bool reap_deferred_ = false;
   int pushout_failures_ = 0;  // consecutive failed push-outs (reset on success)
   bool degraded_ = false;     // writes refused until a pushOut succeeds again
   // Bumped by every write-revoking setProtection and every invalidate (the
@@ -118,6 +155,19 @@ class PvmCache final : public Cache {
   // grant's local effect must be discarded and the access retried.
   uint64_t revoke_epoch_ = 0;
 };
+
+inline void ReverseLinkHook::Added(const LinkTarget& link) const {
+  ++(link.cache->*reverse)[owner];
+}
+
+inline void ReverseLinkHook::Removed(const LinkTarget& link) const {
+  ReverseLinks& table = link.cache->*reverse;
+  auto it = table.find(owner);
+  assert(it != table.end() && it->second > 0);
+  if (--it->second == 0) {
+    table.erase(it);
+  }
+}
 
 }  // namespace gvm
 

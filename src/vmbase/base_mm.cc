@@ -229,6 +229,7 @@ Status BaseMm::DestroyContextLocked(ContextImpl& context) {
       return s;
     }
   }
+  OnContextDestroyed(context.as_);
   (void)mmu_.DestroyAddressSpace(context.as_);
   if (current_context_ == &context) {
     current_context_ = nullptr;

@@ -165,6 +165,10 @@ class BaseMm : public MemoryManager {
   virtual void OnRegionMapped(RegionImpl& region, MutexLock& lock) GVM_REQUIRES(mu_) = 0;
   virtual void OnRegionUnmapping(RegionImpl& region) GVM_REQUIRES(mu_) = 0;
 
+  // The context owning address space `as` is being destroyed; its regions are
+  // already gone.  Subclasses drop any per-address-space state they keep.
+  virtual void OnContextDestroyed(AsId as) GVM_REQUIRES(mu_) { (void)as; }
+
   // `first` was split; `second` is the new upper half.  Subclasses migrate their
   // per-region bookkeeping (mapped-page tables) for addresses now owned by `second`.
   virtual void OnRegionSplit(RegionImpl& first, RegionImpl& second) GVM_REQUIRES(mu_) = 0;
@@ -182,6 +186,8 @@ class BaseMm : public MemoryManager {
   RegionImpl* RelookupRegion(const PageFault& fault) GVM_REQUIRES(mu_);
 
   SegmentRegistry* registry() { return registry_; }
+  // True while a context owns address space `as` (invariant checkers).
+  bool ContextLiveLocked(AsId as) const GVM_REQUIRES(mu_) { return contexts_.contains(as); }
   MmStats& mutable_stats() GVM_REQUIRES(mu_) { return stats_; }
   ContextImpl* current_context() GVM_REQUIRES(mu_) { return current_context_; }
 

@@ -2,6 +2,9 @@
 // lists; these tests pin down its replace/split/clip semantics exactly.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "src/pvm/fragment_map.h"
 
 namespace gvm {
@@ -133,6 +136,39 @@ TEST(FragmentMapTest, ForEachIsSorted) {
   EXPECT_EQ(starts[0], 0u);
   EXPECT_EQ(starts[1], 50u);
   EXPECT_EQ(starts[2], 90u);
+}
+
+// Counts, per target id, the fragments a hooked map holds.
+struct CountingHooks {
+  std::map<int, int>* live = nullptr;
+  void Added(const Target& t) const { ++(*live)[t.id]; }
+  void Removed(const Target& t) const {
+    if (--(*live)[t.id] == 0) {
+      live->erase(t.id);
+    }
+  }
+};
+
+TEST(FragmentMapTest, HooksSeeEveryFragmentEnterAndLeave) {
+  std::map<int, int> live;
+  FragmentMap<Target, CountingHooks> map(CountingHooks{&live});
+  auto expect_counts_match = [&] {
+    std::map<int, int> present;
+    map.ForEach([&](const auto& f) { ++present[f.value.id]; });
+    EXPECT_EQ(live, present);
+  };
+  map.Insert(0, 100, Target{1, 0});
+  map.Insert(200, 100, Target{2, 0});
+  expect_counts_match();
+  map.Insert(40, 20, Target{3, 0});   // splits 1 into two pieces around 3
+  expect_counts_match();
+  map.Erase(90, 150);                 // trims 1's tail and 2's head
+  expect_counts_match();
+  map.Insert(0, 300, Target{2, 0});   // swallows everything
+  expect_counts_match();
+  EXPECT_EQ(live, (std::map<int, int>{{2, 1}}));
+  map.Clear();
+  EXPECT_TRUE(live.empty());
 }
 
 }  // namespace

@@ -190,6 +190,7 @@ TEST_F(MixTest, RepeatedExecHitsTheSegmentCache) {
   // Only the per-exec header reads (cache hits too) — no repeated text reads.
   EXPECT_EQ(files_.reads, cold_reads);
   EXPECT_GE(nucleus_.segment_manager().stats().cache_hits, 9u);
+  EXPECT_EQ(nucleus_.segment_manager().CheckInvariants(), Status::kOk);
 }
 
 TEST_F(MixTest, SbrkGrowsWithinReserve) {
@@ -243,6 +244,55 @@ TEST_F(MixTest, ForkStormMemoryIsReclaimed) {
   // argument): within a small bound of the baseline.
   EXPECT_LE(memory_.used_frames(), frames_baseline + 4);
   EXPECT_EQ(vm_.CheckInvariants(), Status::kOk);
+  EXPECT_EQ(nucleus_.segment_manager().CheckInvariants(), Status::kOk);
+}
+
+// The PVM work of one fork/exec/exit/wait job, as detail-counter deltas.
+struct JobWork {
+  uint64_t link_visits = 0;
+  uint64_t reaped = 0;
+  uint64_t collapsed = 0;
+  bool operator==(const JobWork&) const = default;
+};
+
+TEST_F(MixTest, JobWorkIgnoresUnrelatedLiveCaches) {
+  // The caches a job's copy setup and teardown visit follow the job's own
+  // history tree, however many unrelated caches are alive (DESIGN.md §17).
+  ASSERT_EQ(pm_.InstallProgram("/bin/sh", HelloProgram(), {}, kPage, 2 * kPage), Status::kOk);
+  ASSERT_EQ(pm_.InstallProgram("/bin/cc", HelloProgram(), {}, kPage, kPage), Status::kOk);
+  Pid shell = *pm_.Spawn("/bin/sh");
+  uint32_t v = 42;
+  ASSERT_EQ(pm_.Find(shell)->actor->Write(ProcessLayout::kDataBase, &v, sizeof(v)),
+            Status::kOk);
+  auto run_job = [&] {
+    const PvmDetailStats before = vm_.detail_stats();
+    Result<Pid> child = pm_.Fork(shell);
+    EXPECT_TRUE(child.ok());
+    EXPECT_EQ(pm_.Exec(*child, "/bin/cc"), Status::kOk);
+    EXPECT_TRUE(pm_.Run(*child, 1000).ok());
+    EXPECT_TRUE(pm_.Wait(shell).ok());
+    const PvmDetailStats after = vm_.detail_stats();
+    return JobWork{after.reverse_link_visits - before.reverse_link_visits,
+                   after.caches_reaped - before.caches_reaped,
+                   after.caches_collapsed - before.caches_collapsed};
+  };
+  auto add_unrelated = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      Cache* cache = *vm_.CacheCreate(nullptr, "unrelated");
+      Cache* source = *vm_.CacheCreate(nullptr, "unrelated-src");
+      EXPECT_EQ(source->CopyTo(*cache, 0, 0, 4 * kPage, CopyPolicy::kHistory), Status::kOk);
+    }
+  };
+  (void)run_job();  // warm the segment cache
+  add_unrelated(1);
+  const JobWork few = run_job();
+  add_unrelated(1000);
+  const JobWork many = run_job();
+  EXPECT_GT(few.link_visits, 0u);
+  EXPECT_GT(few.reaped, 0u);
+  EXPECT_EQ(few, many);
+  EXPECT_EQ(vm_.CheckInvariants(), Status::kOk);
+  EXPECT_EQ(nucleus_.segment_manager().CheckInvariants(), Status::kOk);
 }
 
 }  // namespace

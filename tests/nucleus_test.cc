@@ -205,6 +205,43 @@ TEST_F(NucleusTest, SegmentCachePoolIsBounded) {
   }
   EXPECT_LE(nucleus.segment_manager().CachedSegmentCount(), 2u);
   EXPECT_GE(nucleus.segment_manager().stats().caches_discarded, 3u);
+  EXPECT_EQ(nucleus.segment_manager().CheckInvariants(), Status::kOk);
+}
+
+TEST_F(NucleusTest, SegmentIndexesFollowAcquireReleaseChurn) {
+  // Acquire, re-acquire (segment-cache hits), add references, release out of
+  // order and evict: the keyed indexes and the LRU pool stay exact throughout.
+  SegmentManager& segments = nucleus_.segment_manager();
+  std::vector<Capability> files;
+  for (int i = 0; i < 40; ++i) {
+    files.push_back(FileCapability("/churn" + std::to_string(i), "x"));
+  }
+  std::vector<Cache*> held;
+  for (size_t round = 0; round < 3; ++round) {
+    // Overlapping windows: each round re-acquires part of the last one's files.
+    for (size_t i = round * 10; i < round * 10 + 20; ++i) {
+      held.push_back(*segments.AcquireCache(files[i]));
+      if (i % 3 == 0) {
+        segments.AddRef(held.back());
+        held.push_back(held.back());
+      }
+    }
+    Cache* temp = *segments.AcquireTemporaryCache("churn-temp");
+    ASSERT_TRUE(segments.LocalCacheCapability(temp).ok());
+    ASSERT_EQ(segments.CheckInvariants(), Status::kOk);
+    segments.Release(temp);
+    for (size_t i = round % 2; i < held.size(); i += 2) {
+      segments.Release(held[i]);
+    }
+    for (size_t i = 1 - round % 2; i < held.size(); i += 2) {
+      segments.Release(held[i]);
+    }
+    held.clear();
+    ASSERT_EQ(segments.CheckInvariants(), Status::kOk);
+  }
+  EXPECT_GT(segments.stats().cache_hits, 0u);
+  EXPECT_GT(segments.stats().caches_discarded, 0u);
+  EXPECT_LE(segments.CachedSegmentCount(), 16u);
 }
 
 TEST_F(NucleusTest, SwapBackedPageoutThroughDefaultMapper) {
@@ -234,6 +271,7 @@ TEST_F(NucleusTest, SwapBackedPageoutThroughDefaultMapper) {
     ASSERT_EQ(actor->Read(0x10000 + i * kPage, &v, sizeof(v)), Status::kOk);
     EXPECT_EQ(v, 0xBEEF0000u + i) << i;
   }
+  EXPECT_EQ(nucleus.segment_manager().CheckInvariants(), Status::kOk);
 }
 
 TEST_F(NucleusTest, ForkRecipeFromActor) {
